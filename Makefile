@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-fixtures bench bench-json bench-baseline tables figure9 examples chaos serve crash-recovery profile scale scale-smoke pdes-smoke cover clean
+.PHONY: all build test lint lint-fixtures bench bench-json tables figure9 examples chaos serve crash-recovery profile scale scale-smoke pdes-smoke cover clean
 
 all: build test
 
@@ -37,13 +37,6 @@ bench:
 # Same benchmarks as machine-readable go-test JSON events, for dashboards.
 bench-json:
 	$(GO) test -bench=. -benchmem -run XXXnone -json ./...
-
-# Perf-trajectory baseline: times table/sweep generation wall-clock serial
-# (-j 1) versus parallel (-j GOMAXPROCS) plus the core microbenchmarks, and
-# writes BENCH_parallel.json ({name, serial_s, parallel_s, workers,
-# speedup} entries). CI runs this reduced cell set so the file stays fresh.
-bench-baseline:
-	$(GO) run ./cmd/benchbaseline -scale small -out BENCH_parallel.json
 
 tables:
 	$(GO) run ./cmd/tables -scale medium

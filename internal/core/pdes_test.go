@@ -157,8 +157,8 @@ func requireSharded(t *testing.T, nodes int, mutate func(*Config)) {
 	}
 	eng := sim.NewEngine(nodes)
 	NewRT(eng, machine.CM5(), p, cfg)
-	if !eng.ParallelActive() || eng.Workers() != 4 {
-		t.Fatalf("engine did not shard: active=%v workers=%d", eng.ParallelActive(), eng.Workers())
+	if eng.Workers() != 4 {
+		t.Fatalf("engine did not shard: workers=%d", eng.Workers())
 	}
 }
 
@@ -236,7 +236,7 @@ func TestParallelFallbacks(t *testing.T) {
 		tc.mutate(&cfg)
 		eng := sim.NewEngine(8)
 		NewRT(eng, machine.CM5(), p, cfg)
-		if eng.ParallelActive() || eng.Workers() != 1 {
+		if eng.Workers() != 1 {
 			t.Errorf("%s: engine sharded (workers=%d), want serial fallback", tc.name, eng.Workers())
 		}
 	}

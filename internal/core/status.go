@@ -165,15 +165,6 @@ type Config struct {
 	// backoff until acked, and duplicate-suppressed at the receiver. Off by
 	// default: with a fault-free network the layer only adds overhead.
 	Reliable bool
-	// RetransmitBase is the initial retransmit timeout of an unacked frame
-	// in virtual time; zero derives a default from the machine model's
-	// round-trip cost. Backoff doubles the timeout per retransmission up to
-	// RetransmitCap (zero: 64x base).
-	RetransmitBase Instr
-	RetransmitCap  Instr
-	// AckDelay is how long a receiver coalesces deliveries before sending
-	// one cumulative ack; zero derives a default from the model.
-	AckDelay Instr
 	// MaxForwardHops bounds a request's forwarding chain (stale-hint
 	// re-routes under migration); zero derives 2*nodes+8. Exceeding the
 	// bound is a traced runtime error, not silent unbounded growth.

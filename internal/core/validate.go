@@ -27,17 +27,6 @@ func ValidateConfig(mdl *machine.Model, cfg Config) error {
 	if cfg.MaxForwardHops < 0 {
 		return fmt.Errorf("core: MaxForwardHops = %d is negative; use 0 for the default", cfg.MaxForwardHops)
 	}
-	for _, p := range []struct {
-		name string
-		v    Instr
-	}{{"RetransmitBase", cfg.RetransmitBase}, {"RetransmitCap", cfg.RetransmitCap}, {"AckDelay", cfg.AckDelay}} {
-		if p.v < 0 {
-			return fmt.Errorf("core: %s = %d is negative; use 0 for the model-derived default", p.name, p.v)
-		}
-	}
-	if cfg.RetransmitCap > 0 && cfg.RetransmitBase > cfg.RetransmitCap {
-		return fmt.Errorf("core: RetransmitBase %d exceeds RetransmitCap %d", cfg.RetransmitBase, cfg.RetransmitCap)
-	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return err
 	}

@@ -41,7 +41,7 @@ import (
 	"strings"
 )
 
-// EngineKind selects the execution engine, mirroring the QueueKind seam.
+// EngineKind selects the execution engine.
 type EngineKind int
 
 const (
@@ -71,8 +71,8 @@ var (
 const maxShards = 16
 
 // SetDefaultEngine sets the engine kind used by subsequently constructed
-// engines and returns the previous default. Like SetDefaultQueue it is for
-// process startup (flag wiring) and test scoping, not concurrent use.
+// engines and returns the previous default. It is for process startup (flag
+// wiring) and test scoping, not concurrent use.
 func SetDefaultEngine(k EngineKind) EngineKind {
 	prev := defaultEngine
 	defaultEngine = k
@@ -102,10 +102,6 @@ func EngineByName(name string) (EngineKind, bool) {
 // Kind returns the engine kind this engine was constructed with.
 func (e *Engine) Kind() EngineKind { return e.kind }
 
-// ParallelActive reports whether parallel dispatch is actually enabled —
-// the engine is parallel-kind and the runtime supplied a usable lookahead.
-func (e *Engine) ParallelActive() bool { return e.par }
-
 // Workers returns the number of goroutines that will dispatch events: the
 // shard count when parallel execution is active, 1 otherwise. Benchmarks
 // record this so a serial fallback can never masquerade as a parallel win.
@@ -115,9 +111,6 @@ func (e *Engine) Workers() int {
 	}
 	return 1
 }
-
-// Lookahead returns the conservative window bound (0 when serial).
-func (e *Engine) Lookahead() Time { return e.lookahead }
 
 // EnableParallel switches a parallel-kind engine into sharded execution.
 // lookahead must be a lower bound on the latency of every transmission the
@@ -151,7 +144,7 @@ func (e *Engine) EnableParallel(lookahead Time) bool {
 	}
 	shards := make([]*shard, target)
 	for i := range shards {
-		shards[i] = &shard{eng: e, q: newQueue(e.qkind)}
+		shards[i] = &shard{eng: e, q: newCalendarQueue()}
 	}
 	// Block partition: shard s owns nodes [s*N/S, (s+1)*N/S) — neighbors in
 	// ID space share a shard, which for grid apps keeps most traffic

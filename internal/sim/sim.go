@@ -94,7 +94,7 @@ func (n *Node) Now() Time {
 // holding every node and the global context.
 type shard struct {
 	eng *Engine
-	q   eventQueue
+	q   *calendarQueue
 	now Time
 
 	// Key of the event currently dispatching, stamped onto ordered-commit
@@ -162,7 +162,6 @@ type Engine struct {
 	// parallel execution is actually enabled (EnableParallel succeeded).
 	kind        EngineKind
 	shardTarget int
-	qkind       QueueKind
 	par         bool
 	phase       uint8
 	lookahead   Time
@@ -183,18 +182,17 @@ type Engine struct {
 	merged []logEntry
 }
 
-// NewEngine creates an engine with n nodes, all clocks at zero. The event
-// store is chosen by the package default (see SetDefaultQueue), the engine
-// kind by SetDefaultEngine; a parallel-kind engine still dispatches serially
-// until the runtime calls EnableParallel with a positive lookahead.
+// NewEngine creates an engine with n nodes, all clocks at zero. The engine
+// kind is chosen by SetDefaultEngine; a parallel-kind engine still
+// dispatches serially until the runtime calls EnableParallel with a
+// positive lookahead.
 func NewEngine(n int) *Engine {
 	e := &Engine{
 		nodes:       make([]*Node, n),
 		kind:        defaultEngine,
 		shardTarget: defaultShards,
-		qkind:       defaultQueue,
 	}
-	sh := &shard{eng: e, q: newQueue(defaultQueue)}
+	sh := &shard{eng: e, q: newCalendarQueue()}
 	e.gsh = sh
 	e.shards = []*shard{sh}
 	for i := range e.nodes {
@@ -400,8 +398,8 @@ const compactMinQueue = 64
 
 // maybeCompact removes cancelled-timer events from the shard's queue in
 // place when they outnumber the live events. The trigger and the removal are
-// functions of (queue contents, cancel order) only — identical under either
-// queue implementation — so determinism is unaffected.
+// functions of (queue contents, cancel order) only, so determinism is
+// unaffected.
 func (sh *shard) maybeCompact() {
 	n := sh.q.len()
 	if n < compactMinQueue || sh.cancelledPending <= n/2 {
@@ -614,7 +612,7 @@ func (e *Engine) Pending() int {
 // PendingWork returns the number of undispatched events that represent real
 // work: service events and cancelled timers are excluded. Periodic services
 // use it to stop rescheduling themselves once the machine is otherwise idle
-// (counting each other — or a dead retransmit timer's heap slot — would
+// (counting each other — or a dead retransmit timer's queue slot — would
 // sustain them forever).
 func (e *Engine) PendingWork() int {
 	w := e.gsh.q.len() - e.gsh.servicePending - e.gsh.cancelledPending
