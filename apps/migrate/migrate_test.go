@@ -90,3 +90,27 @@ func TestDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestReturnMigrationParksInsteadOfCycling is the regression test for
+// Table 7 at -scale medium (CM-5, adaptive threshold, seed 1995), which
+// panicked with a request exceeding the forwarding bound. An object
+// migrated 0 -> 6 and back 6 -> 0; while the return payload was in flight,
+// node 0 still held its stale stub (residence 1, pointing at 6) and node 6
+// its new one (residence 2, pointing at 0), so requests ricocheted between
+// them until the hop limit. A forwarded request now parks at a stub no
+// newer than the residence it was forwarded for, and runs when the object
+// arrives.
+func TestReturnMigrationParksInsteadOfCycling(t *testing.T) {
+	p := DefaultParams() // Table 7's medium scale
+	p.MD.Seed = 1995
+	inst := mdforce.Generate(p.MD)
+	cfg := core.DefaultHybrid()
+	cfg.Migration = policy.DefaultThreshold()
+	r := Run(machine.CM5(), cfg, inst, p.Iters, CellAssignment(inst, false))
+	if err := mdforce.MaxRelError(r.Forces, Native(inst, p.Iters)); err > 1e-9 {
+		t.Fatalf("force error %g", err)
+	}
+	if r.Stats.MigrateParks == 0 {
+		t.Fatal("no request parked: the run no longer exercises a return migration in flight")
+	}
+}

@@ -147,8 +147,14 @@ func MaskRange(lo, hi int) uint64 {
 
 // framePool recycles frames per node. Checkout cost is charged according to
 // mode: stack frames are (nearly) free, matching stack allocation; heap
-// promotion charges context-allocation costs.
+// promotion charges context-allocation costs. A pool miss carves the frame,
+// and any argument, local and future storage a frame outgrows, from the
+// node's slabs, so it allocates only when a slab chunk fills.
 type framePool struct {
+	frames slab[Frame]
+	words  slab[Word]
+	cells  slab[Cell]
+
 	free *Frame
 	// liveHead threads the checked-out frames (see Frame.livePrev/liveNext).
 	liveHead *Frame
@@ -162,7 +168,7 @@ type framePool struct {
 func (p *framePool) checkout(m *Method, node *NodeRT, self Ref, args []Word) *Frame {
 	fr := p.free
 	if fr == nil {
-		fr = &Frame{}
+		fr = p.frames.alloc()
 		p.Allocs++
 	} else {
 		p.free = fr.next
@@ -192,24 +198,18 @@ func (p *framePool) checkout(m *Method, node *NodeRT, self Ref, args []Word) *Fr
 	}
 	p.liveHead = fr
 
-	fr.Args = resizeWords(fr.Args, m.NArgs)
+	fr.Args = p.resizeWords(fr.Args, m.NArgs)
 	// Zero the tail beyond the supplied args: a recycled frame must not leak
 	// stale argument words from a prior activation when a caller passes
 	// fewer args than the method declares.
-	for i := copy(fr.Args, args); i < len(fr.Args); i++ {
-		fr.Args[i] = 0
-	}
-	fr.Locals = resizeWords(fr.Locals, m.NLocals)
-	for i := range fr.Locals {
-		fr.Locals[i] = 0
-	}
+	clear(fr.Args[copy(fr.Args, args):])
+	fr.Locals = p.resizeWords(fr.Locals, m.NLocals)
+	clear(fr.Locals)
 	if cap(fr.fut) < m.NFutures {
-		fr.fut = make([]Cell, m.NFutures)
+		fr.fut = p.cells.take(m.NFutures)
 	} else {
 		fr.fut = fr.fut[:m.NFutures]
-		for i := range fr.fut {
-			fr.fut[i] = Cell{}
-		}
+		clear(fr.fut)
 	}
 	return fr
 }
@@ -249,9 +249,9 @@ func (p *framePool) unlive(fr *Frame) {
 	fr.livePrev, fr.liveNext = nil, nil
 }
 
-func resizeWords(s []Word, n int) []Word {
+func (p *framePool) resizeWords(s []Word, n int) []Word {
 	if cap(s) < n {
-		return make([]Word, n)
+		return p.words.take(n)
 	}
 	return s[:n]
 }

@@ -192,7 +192,8 @@ func (rt *RT) migrateNow(n *NodeRT, obj *Object, dest int) {
 	*stub = Object{Ref: obj.Ref, away: true, fwdTo: int32(dest), fwdVer: obj.moves, wantMove: -1}
 	n.installEntry(obj.Ref, stub)
 
-	msg := &Msg{kind: msgMigrate, target: obj.Ref, obj: obj, from: int32(n.ID)}
+	msg := n.newMsg()
+	msg.kind, msg.target, msg.obj, msg.from = msgMigrate, obj.Ref, obj, int32(n.ID)
 	to := rt.Nodes[dest]
 	lat := rt.Model.NetLatency + rt.Model.NetPerWord*instr.Instr(w)
 	rt.send(n, to, msg, w, lat)
@@ -240,8 +241,12 @@ func (rt *RT) handleMigrate(n *NodeRT, msg *Msg) {
 // forwardRequest re-routes a request that arrived at a former home of its
 // target: one hop along the stub chain, plus a "moved" notice back to the
 // original requester so its next request goes direct (path compression).
+// The request carries the stub's residence version, so the next home can
+// tell a newer stub (follow it) from one the object has since returned
+// past (park: the object is on its way there; see handleMsg).
 func (rt *RT) forwardRequest(n *NodeRT, msg *Msg, stub *Object) {
 	loc := int(stub.fwdTo)
+	msg.ver = stub.fwdVer
 	msg.hops++
 	if limit := rt.maxForwardHops(); int(msg.hops) > limit {
 		// A chain this long means routing state is corrupt (a cycle, or
@@ -255,19 +260,21 @@ func (rt *RT) forwardRequest(n *NodeRT, msg *Msg, stub *Object) {
 	n.Stats.ForwardHops++
 	rt.traceEvent(n, uint8(trace.KForwardHop), msg.method, int64(msg.hops))
 	to := rt.Nodes[loc]
+	from, target := int(msg.from), msg.target
 	w := msg.words()
 	lat := rt.Model.NetLatency + rt.Model.NetPerWord*instr.Instr(w)
 	rt.send(n, to, msg, w, lat)
 
-	if from := int(msg.from); from >= 0 && from != n.ID && from != loc {
-		rt.sendMoved(n, rt.Nodes[from], msg.target, stub.fwdTo, stub.fwdVer)
+	if from >= 0 && from != n.ID && from != loc {
+		rt.sendMoved(n, rt.Nodes[from], target, stub.fwdTo, stub.fwdVer)
 	}
 }
 
-// maxForwardHops returns the forwarding-chain bound. Stub targets strictly
-// advance along the migration history, so a legitimate chain is at most the
-// number of homes the object ever had; 2*nodes+8 leaves slack for requests
-// chasing a repeatedly-migrating object without tolerating a cycle.
+// maxForwardHops returns the forwarding-chain bound. A request follows only
+// stubs of strictly increasing residence version (handleMsg parks it
+// rather than follow an older one), so a chain is at most the number of
+// moves the object ever made; 2*nodes+8 is a backstop against corrupt
+// routing state, not a bound a correct run approaches.
 func (rt *RT) maxForwardHops() int {
 	if rt.Cfg.MaxForwardHops > 0 {
 		return rt.Cfg.MaxForwardHops
@@ -278,7 +285,8 @@ func (rt *RT) maxForwardHops() int {
 // sendMoved transmits a path-compression notice: "as of residence ver, ref
 // lives at loc".
 func (rt *RT) sendMoved(n, to *NodeRT, ref Ref, loc, ver int32) {
-	notice := &Msg{kind: msgMoved, target: ref, loc: loc, ver: ver, from: int32(n.ID)}
+	notice := n.newMsg()
+	notice.kind, notice.target, notice.loc, notice.ver, notice.from = msgMoved, ref, loc, ver, int32(n.ID)
 	rt.send(n, to, notice, notice.words(), rt.Model.ReplyLatency)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/instr"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -51,7 +52,8 @@ type Msg struct {
 	hops int32
 
 	// obj is the payload of a msgMigrate; loc/ver the address and residence
-	// version carried by a msgMoved.
+	// version carried by a msgMoved. A forwarded request carries in ver the
+	// residence version of the stub that last forwarded it.
 	obj *Object
 	loc int32
 	ver int32
@@ -74,7 +76,71 @@ type Msg struct {
 	wireSeq   uint32
 	wireWords int32
 
+	// safeAt is set while a sent frame waits on its sender's retire list:
+	// the time after which no copy of it can still be on the wire.
+	safeAt sim.Time
+
 	next *Msg
+}
+
+// Message ownership. A Msg comes from its sending node's free list
+// (newMsg) and is handed to the transport by rt.send; the sender never
+// touches it again. Without the reliable layer the transport delivers it
+// exactly once and the destination owns it from arrival: its handler
+// returns it to the destination's free list at its last use (freeMsg) —
+// after a reply determines its continuation, a request's arguments are
+// copied into the activation, or a migration or moved notice is applied.
+// A request that forwards or parks is still in use and is not released.
+// With the reliable layer the sender's link frame keeps the wire message
+// for retransmission and the receiver takes a copy of it on acceptance
+// (see recvFrame); the copy is released like an unreliable delivery, and
+// the wire message goes onto the sender's retire list once acked, to be
+// reused when no duplicate of it can still arrive. Messages on paths that
+// never release (crash-discarded inboxes, reset links, checkpoint traffic)
+// are left to the garbage collector: never releasing is always safe.
+
+// newMsg returns a zeroed message from n's free list, its retire list, or
+// its message slab. Its args slice is empty but keeps the backing array of
+// its previous use.
+func (n *NodeRT) newMsg() *Msg {
+	m := n.msgFree
+	if m != nil {
+		n.msgFree = m.next
+		m.next = nil
+		return m
+	}
+	if m = n.retired.head; m != nil && m.safeAt < n.Sim.Now() {
+		n.retired.pop()
+		*m = Msg{args: m.args[:0]}
+		return m
+	}
+	return n.msgs.alloc()
+}
+
+// freeMsg returns m to n's free list at its last use, dropping the
+// references it holds.
+func (n *NodeRT) freeMsg(m *Msg) {
+	*m = Msg{args: m.args[:0], next: n.msgFree}
+	n.msgFree = m
+}
+
+// setArgs copies args into m, reusing m's argument words when they are
+// big enough and carving new ones from n's word slab otherwise.
+func (n *NodeRT) setArgs(m *Msg, args []Word) {
+	if cap(m.args) < len(args) {
+		m.args = n.pool.words.take(len(args))
+	}
+	m.args = m.args[:len(args)]
+	copy(m.args, args)
+}
+
+// copyMsg makes dst (a message of n's) a copy of src with its own
+// argument words.
+func (n *NodeRT) copyMsg(dst, src *Msg) {
+	args := dst.args
+	*dst = *src
+	dst.args, dst.next = args, nil
+	n.setArgs(dst, src.args)
 }
 
 // words returns the modeled payload size in words: header (method id,
@@ -135,8 +201,9 @@ func (q *msgQueue) pop() *Msg {
 // handler overhead on arrival (in handleMsg) and re-routes if the object
 // has since migrated.
 func (rt *RT) sendRequest(from *NodeRT, m *Method, target Ref, args []Word, cont Cont, dest int) {
-	msg := &Msg{method: m, target: target, args: append([]Word(nil), args...),
-		cont: cont, from: int32(from.ID)}
+	msg := from.newMsg()
+	msg.method, msg.target, msg.cont, msg.from = m, target, cont, int32(from.ID)
+	from.setArgs(msg, args)
 	w := msg.words()
 	if max := rt.maxMsgWords(); w > max {
 		panic(fmt.Sprintf("core: oversized message for %s: %d words (limit %d)", m.Name, w, max))
@@ -157,33 +224,39 @@ func (rt *RT) maxMsgWords() int {
 
 // sendReply transmits a value determining a remote continuation.
 func (rt *RT) sendReply(from *NodeRT, cont Cont, val Word) {
-	msg := &Msg{kind: msgReply, cont: cont, val: val, from: int32(from.ID)}
+	msg := from.newMsg()
+	msg.kind, msg.cont, msg.val, msg.from = msgReply, cont, val, int32(from.ID)
 	from.charge(instr.OpMsg, rt.Model.ReplySend)
 	from.Stats.Replies++
 	to := rt.Nodes[cont.Node]
 	rt.send(from, to, msg, msg.words(), rt.Model.ReplyLatency)
 }
 
-// handleMsg processes one arrived message on node n. Requests are first
-// routed: if the target no longer lives here (it migrated away) the message
-// takes a forwarding hop; if it is in flight to this node the message parks
-// until it arrives. For requests that resolve locally under the hybrid
-// model with wrappers enabled, the stack version of the method is executed
-// directly from the message buffer (Section 3.3) — "a remote message can be
-// processed entirely on the stack". Otherwise a heap context is allocated
-// and scheduled, which is what the parallel-only baseline always does.
+// handleMsg processes one arrived message on node n, releasing it at its
+// last use. Requests are first routed: if the target no longer lives here
+// (it migrated away) the message takes a forwarding hop; if it is in
+// flight to this node the message parks until it arrives. For requests
+// that resolve locally under the hybrid model with wrappers enabled, the
+// stack version of the method is executed directly from the message buffer
+// (Section 3.3) — "a remote message can be processed entirely on the
+// stack". Otherwise a heap context is allocated and scheduled, which is
+// what the parallel-only baseline always does.
 func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 	mdl := rt.Model
 	switch msg.kind {
 	case msgReply:
 		n.charge(instr.OpMsg, mdl.ReplyRecv)
-		rt.deliverLocal(n, msg.cont, msg.val, false)
+		cont, val := msg.cont, msg.val
+		n.freeMsg(msg)
+		rt.deliverLocal(n, cont, val, false)
 		return
 	case msgMigrate:
 		rt.handleMigrate(n, msg)
+		n.freeMsg(msg)
 		return
 	case msgMoved:
 		rt.handleMoved(n, msg)
+		n.freeMsg(msg)
 		return
 	case msgCkpt:
 		rt.handleCkpt(n, msg)
@@ -201,9 +274,14 @@ func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 			n.ID, msg.target, len(msg.args)))
 	}
 	e, has := n.entry(msg.target)
-	if !has {
+	if !has || (e.away && msg.hops > 0 && e.fwdVer <= msg.ver) {
 		// No entry means the object is in flight to this node (every node
 		// it ever lived on keeps at least a stub): hold until it arrives.
+		// So does a stub no newer than the residence the request was
+		// forwarded here for: it predates the object's return to this
+		// node, and following it would send the request back along the
+		// chain it came from — residence versions must strictly increase
+		// along a forwarding path.
 		n.charge(instr.OpMsg, mdl.MsgRecvBase)
 		n.park(msg)
 		return
@@ -222,6 +300,7 @@ func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 	}
 	// Parallel-only path: allocate and schedule a heap context.
 	cf := rt.newHeapFrame(n, m, msg.target, msg.args, msg.cont)
+	n.freeMsg(msg)
 	rt.scheduleOrPark(n, cf)
 }
 
@@ -253,6 +332,7 @@ func (rt *RT) runWrapper(n *NodeRT, m *Method, obj *Object, msg *Msg) {
 		if obj.Locked() {
 			// Cannot run from the buffer: park a heap context on the lock.
 			cf := rt.newHeapFrame(n, m, msg.target, msg.args, msg.cont)
+			n.freeMsg(msg)
 			obj.waiters.push(cf)
 			n.Stats.LockBlocks++
 			rt.traceEvent(n, uint8(trace.KLockBlock), m, 0)
@@ -265,9 +345,10 @@ func (rt *RT) runWrapper(n *NodeRT, m *Method, obj *Object, msg *Msg) {
 	rt.chargeSchema(n, m.Emitted)
 
 	cf := n.pool.checkout(m, n, msg.target, msg.args)
+	cf.RetCont = msg.cont
+	n.freeMsg(msg)
 	rt.frameCreated(n, obj)
 	cf.Mode = StackMode
-	cf.RetCont = msg.cont
 	cf.CInfo = CallerInfo{CtxExists: true, Forwarded: true} // proxy context
 	if m.Locks {
 		obj.locked = true

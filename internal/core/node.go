@@ -13,10 +13,18 @@ type NodeRT struct {
 	rt  *RT
 
 	objects []*Object
-	arena   objArena
+	arena   slab[Object]
 	inbox   msgQueue
 	runq    frameQueue
 	pool    framePool
+
+	// msgFree is the free list of released messages; retired holds sent
+	// reliable frames settled by their ack, in ack order, each reusable once
+	// its safeAt has passed; msgs is where new messages come from (see the
+	// ownership rules in msg.go).
+	msgFree *Msg
+	retired msgQueue
+	msgs    slab[Msg]
 
 	// Migration state (all nil/empty unless a migration policy runs).
 	// imports holds objects whose birth node is elsewhere but that now (or
@@ -66,10 +74,10 @@ type NodeRT struct {
 	lostObjs  int
 	rejoinAt  sim.Time
 	ckptMark  int64
-	// flushPending latches a scheduled group-commit flush: the first durable
-	// mutation after a quiet spell arms one flush timer; mutations arriving
-	// within the commit delay share it (see requestFlush in recover.go).
-	flushPending bool
+	// flushTimer is the group-commit flush timer: the first durable
+	// mutation after a quiet spell arms it; mutations arriving within the
+	// commit delay share the pending flush (see requestFlush in recover.go).
+	flushTimer *sim.Timer
 
 	// recov holds this node's share of the recovery accounting that is
 	// mutated from node-context events (checkpoint shipping, restores) —
@@ -157,28 +165,47 @@ func (s *NodeStats) add(other *NodeStats) {
 	s.ReqRetries += other.ReqRetries
 }
 
-// objArena allocates Object structs in fixed-size slabs. Object identity is
-// pointer identity (migration ships *Object and replaces table entries with
-// stubs), so the table stays []*Object — but allocating the structs from
-// slabs keeps a million-object build to thousands of allocations laid out
-// contiguously in index order, instead of a million individually-boxed
-// heap objects scattered by the allocator. Slabs are never reused or
-// compacted: a handed-out pointer stays valid for the run (retired slabs
-// stay reachable through the table entries pointing into them).
-type objArena struct {
-	slab []Object
+// slab hands out T values carved from chunks that grow with use: each new
+// chunk holds a quarter of what the slab has allocated so far, clamped to
+// [slabMinChunk, slabMaxChunk], so a node's slab capacity stays within about
+// a quarter (plus one minimum chunk) of what it actually hands out, while a
+// big build still takes only a handful of allocations per node laid out
+// contiguously. Values are never moved or reused by the slab: a handed-out
+// pointer stays valid for the run (retired chunks stay reachable through
+// the pointers into them). The per-node object arena is a slab[Object] —
+// object identity is pointer identity (migration ships *Object and
+// replaces table entries with stubs), so the table stays []*Object — and
+// new messages, frames, argument words and future cells come from slabs
+// too (their recycling is the free lists' job, not the slab's).
+type slab[T any] struct {
+	chunk []T
+	total int // elements allocated across all chunks
 }
 
-// objArenaSlab is the slab size: 512 Objects, ~100KB per slab.
-const objArenaSlab = 512
+const (
+	slabMinChunk = 16
+	slabMaxChunk = 512
+)
 
-func (a *objArena) alloc() *Object {
-	if len(a.slab) == cap(a.slab) {
-		a.slab = make([]Object, 0, objArenaSlab)
+// objArenaSlab is the largest chunk the object arena grows to: 512
+// Objects, about 112KB.
+const objArenaSlab = slabMaxChunk
+
+// take returns n fresh zero values, contiguous, capacity n.
+func (s *slab[T]) take(n int) []T {
+	if cap(s.chunk)-len(s.chunk) < n {
+		size := min(max(s.total/4, slabMinChunk), slabMaxChunk)
+		size = max(size, n)
+		s.chunk = make([]T, 0, size)
+		s.total += size
 	}
-	a.slab = a.slab[:len(a.slab)+1]
-	return &a.slab[len(a.slab)-1]
+	i := len(s.chunk)
+	s.chunk = s.chunk[:i+n]
+	return s.chunk[i : i+n : i+n]
 }
+
+// alloc returns one fresh zero value.
+func (s *slab[T]) alloc() *T { return &s.take(1)[0] }
 
 // NewObject installs state as a new object on this node and returns its
 // global reference.

@@ -39,11 +39,11 @@ type Object struct {
 	remoteHits int64
 	// srcs/cnts form a Misra-Gries frequent-sources sketch over the remote
 	// requester nodes: O(1) state per object (no per-node vectors), yet any
-	// node sending more than 1/(topK+1) of the remote traffic is retained
+	// node sending more than 1/(TopK+1) of the remote traffic is retained
 	// with a count that underestimates its true share by at most
-	// remoteHits/(topK+1).
-	srcs [topK]int32
-	cnts [topK]int32
+	// remoteHits/(TopK+1).
+	srcs [TopK]int32
+	cnts [TopK]int32
 
 	// active counts live activation frames targeting this object (running,
 	// suspended, or parked on the lock). Migration only happens at
@@ -97,8 +97,9 @@ func (o *Object) Locked() bool { return o.locked }
 // object since it last settled on its current node.
 func (o *Object) Hits() (local, remote int64) { return o.localHits, o.remoteHits }
 
-// topK is the width of the per-object frequent-sources sketch.
-const topK = 8
+// TopK is the width of the per-object frequent-sources sketch: the most
+// sources ForEachRemoteSource reports.
+const TopK = 8
 
 // TopRemote returns the estimated heaviest remote requester node and its
 // sketch count (a lower bound on that node's remote invocations this
@@ -181,8 +182,8 @@ func (o *Object) Decay() {
 // node, so policies judge each residence on fresh evidence.
 func (o *Object) resetEpoch() {
 	o.localHits, o.remoteHits = 0, 0
-	o.srcs = [topK]int32{}
-	o.cnts = [topK]int32{}
+	o.srcs = [TopK]int32{}
+	o.cnts = [TopK]int32{}
 	o.wantMove = -1
 }
 

@@ -152,20 +152,14 @@ func (rt *RT) onCrash(n *NodeRT, downFor sim.Time) {
 			continue
 		}
 		l.pending = nil
-		if l.timer != nil {
-			l.timer.Stop()
-			l.timer = nil
-		}
+		l.timer.Stop()
 	}
 	for _, l := range n.relIn {
 		if l == nil {
 			continue
 		}
 		clear(l.buf)
-		if l.ackTimer != nil {
-			l.ackTimer.Stop()
-			l.ackTimer = nil
-		}
+		l.ackTimer.Stop()
 	}
 	// Object state: heap words are gone. The entries stay (lost) so routing
 	// still resolves here and requests park for the restore. The deferred
@@ -218,7 +212,7 @@ func (rt *RT) onRejoin(n *NodeRT) {
 	}
 	// Rejoin notices reach peers one network latency after the node is back
 	// (modeling a membership/name-service announcement), in ID order for
-	// determinism. Plain Schedule, not Send: the control plane is not
+	// determinism. Plain Schedule, not Transmit: the control plane is not
 	// subject to data-plane fault injection, and the peers are up (the
 	// fault layer crashes one node at a time).
 	crashed := n.ID
@@ -251,10 +245,7 @@ func (rt *RT) handleRejoinNotice(peer *NodeRT, crashed int) {
 			l.epoch = target
 			l.cursor, l.acked = 0, 0
 			clear(l.buf)
-			if l.ackTimer != nil {
-				l.ackTimer.Stop()
-				l.ackTimer = nil
-			}
+			l.ackTimer.Stop()
 		}
 	}
 	if rt.checkpointing() && rt.backup(crashed) == peer.ID {
@@ -279,10 +270,7 @@ func (rt *RT) resetSendLink(n *NodeRT, l *sendLink, epoch int32) {
 	l.nextSeq = 0
 	n.Stats.StaleRejected += int64(len(l.pending))
 	l.pending = nil
-	if l.timer != nil {
-		l.timer.Stop()
-		l.timer = nil
-	}
+	l.timer.Stop()
 }
 
 // shipRestores sends the backup's stored snapshot of every object owned by
@@ -463,15 +451,16 @@ const reshipFloor = 25_000
 // period into every durable invocation's latency. Mutations arriving
 // within the delay share the flush (and its message).
 func (rt *RT) requestFlush(n *NodeRT) {
-	if n.flushPending {
+	if n.flushTimer == nil {
+		n.flushTimer = n.Sim.NewTimer(func() {
+			rt.shipNode(n)
+			rt.Eng.Wake(n.Sim)
+		})
+	}
+	if n.flushTimer.Pending() {
 		return
 	}
-	n.flushPending = true
-	n.Sim.AfterFunc(rt.flushDelay(), func() {
-		n.flushPending = false
-		rt.shipNode(n)
-		rt.Eng.Wake(n.Sim)
-	})
+	n.flushTimer.Reset(rt.flushDelay())
 }
 
 // lostWork returns the busy cycles node n executed past its last checkpoint

@@ -42,8 +42,8 @@ const ackWords = 2
 type sendLink struct {
 	to      int
 	nextSeq uint64
-	pending []*relFrame // unacked frames, in sequence order
-	timer   *sim.Timer  // earliest-deadline retransmit timer
+	pending []relFrame // unacked frames, in sequence order
+	timer   *sim.Timer // earliest-deadline retransmit timer (reused per arm)
 	timerAt sim.Time
 	// epoch is the link incarnation (the sum of both endpoints' incarnation
 	// numbers, see recover.go). Frames and acks are stamped with it at
@@ -67,6 +67,9 @@ type relFrame struct {
 	deadline sim.Time    // retransmit when not acked by this time
 	rto      instr.Instr // current backoff; doubles per retransmission
 	sends    int         // transmissions so far (1 = original only)
+	// lastCopy bounds the arrival of every copy of the frame put on the
+	// wire so far, duplicates and reordering included (see wireSlack).
+	lastCopy sim.Time
 }
 
 // recvLink is the receiver half of one directed link.
@@ -74,7 +77,7 @@ type recvLink struct {
 	from     int
 	cursor   uint64          // all frames with seq <= cursor were delivered
 	buf      map[uint64]*Msg // out-of-order frames beyond cursor+1
-	ackTimer *sim.Timer      // pending delayed-ack timer
+	ackTimer *sim.Timer      // delayed-ack timer (reused per arm)
 	acked    uint64          // cursor value covered by the last ack sent
 	// epoch mirrors sendLink.epoch on the receive side: frames from an
 	// older incarnation are rejected, a newer incarnation implicitly resets
@@ -117,6 +120,8 @@ func (n *NodeRT) outLink(dest int) *sendLink {
 		// incarnation be accepted (via implicit advance) at a rejoined node
 		// before any new-epoch traffic, re-executing a lost handler.
 		l = &sendLink{to: dest, epoch: n.rt.linkEpoch(n.ID, dest)}
+		rt := n.rt
+		l.timer = n.Sim.NewTimer(func() { rt.retransmit(n, l) })
 		n.relOut[dest] = l
 	}
 	return l
@@ -131,6 +136,8 @@ func (n *NodeRT) inLink(src int) *recvLink {
 	if l == nil {
 		// Same epoch-initialization rule as outLink: see the comment there.
 		l = &recvLink{from: src, buf: make(map[uint64]*Msg), epoch: n.rt.linkEpoch(src, n.ID)}
+		rt := n.rt
+		l.ackTimer = n.Sim.NewTimer(func() { rt.sendAck(n, l) })
 		n.relIn[src] = l
 	}
 	return l
@@ -141,7 +148,8 @@ func (n *NodeRT) inLink(src int) *recvLink {
 // point for every message the runtime emits (requests, replies, migrations,
 // moved notices): unreliable mode hands the message straight to the engine;
 // reliable mode frames it with a sequence number and takes responsibility
-// for redelivery until acked.
+// for redelivery until acked. Either way msg now belongs to the transport
+// (see the ownership rules in msg.go).
 func (rt *RT) send(from, to *NodeRT, msg *Msg, w int, lat instr.Instr) {
 	if rt.Cfg.Tracer != nil {
 		// The one KMsgSend per transmission, stamped with (destination,
@@ -161,13 +169,13 @@ func (rt *RT) send(from, to *NodeRT, msg *Msg, w int, lat instr.Instr) {
 		// hook (netDelay's Network arm) runs there, where mutating shared
 		// link-contention state is safe under the parallel engine. Serial
 		// execution applies it inline right here, exactly as before.
-		rt.Eng.SendRouted(from.Sim, to.Sim, from.Sim.Clock, lat, w, func() { rt.deliverInbox(to, msg) })
+		rt.Eng.Transmit(from.Sim, to.Sim, from.Sim.Clock, lat, w, true, sim.Packet{Msg: msg})
 		return
 	}
 	l := from.outLink(to.ID)
 	l.nextSeq++
-	f := &relFrame{seq: l.nextSeq, msg: msg, words: w + relSeqWords, lat: lat, rto: rt.rtoBase()}
-	l.pending = append(l.pending, f)
+	l.pending = append(l.pending, relFrame{seq: l.nextSeq, msg: msg, words: w + relSeqWords, lat: lat, rto: rt.rtoBase()})
+	f := &l.pending[len(l.pending)-1]
 	start := from.Sim.Clock
 	if now := from.Sim.Now(); start < now {
 		start = now
@@ -195,21 +203,34 @@ func (rt *RT) sendFrame(from, to *NodeRT, l *sendLink, f *relFrame, depart sim.T
 		l.arrivalHigh = arrive
 	}
 	f.deadline = arrive + sim.Time(f.rto)
+	wire := depart + lat
+	if now := from.Sim.Now(); wire < now {
+		wire = now
+	}
+	if last := wire + rt.wireSlack(); last > f.lastCopy {
+		f.lastCopy = last
+	}
 	// The epoch is read at transmission time: a frame re-sequenced by a
 	// rejoin-driven link reset retransmits under the new epoch.
-	epoch, seq, msg := l.epoch, f.seq, f.msg
-	rt.Eng.SendAt(from.Sim, to.Sim, depart, lat, f.words,
-		func() { rt.recvFrame(to, from.ID, epoch, seq, msg) })
+	rt.Eng.Transmit(from.Sim, to.Sim, depart, lat, f.words, false,
+		sim.Packet{Msg: f.msg, Epoch: l.epoch, Seq: f.seq})
+}
+
+// wireSlack bounds how much later than its modeled arrival a copy of a
+// frame can land: the fault layer's reorder jitter (at most JitterMax) plus
+// a duplicate's extra offset (at most JitterMax+1).
+func (rt *RT) wireSlack() sim.Time {
+	if f := rt.Cfg.Faults; f != nil {
+		return 2*f.JitterMax + 1
+	}
+	return 0
 }
 
 // armRetransmit (re)schedules the link's retransmit timer at the earliest
 // pending deadline. With nothing pending the timer is stopped.
 func (rt *RT) armRetransmit(n *NodeRT, l *sendLink) {
 	if len(l.pending) == 0 {
-		if l.timer != nil {
-			l.timer.Stop()
-			l.timer = nil
-		}
+		l.timer.Stop()
 		return
 	}
 	at := l.pending[0].deadline
@@ -218,19 +239,13 @@ func (rt *RT) armRetransmit(n *NodeRT, l *sendLink) {
 			at = f.deadline
 		}
 	}
-	if l.timer != nil {
-		if l.timerAt <= at {
-			return // an earlier (or equal) wake-up is already scheduled
-		}
-		l.timer.Stop()
+	if l.timer.Pending() && l.timerAt <= at {
+		return // an earlier (or equal) wake-up is already scheduled
 	}
 	l.timerAt = at
-	// Node-scoped timer: the link belongs to n, so the timer event must run
-	// (and be cancellable) in n's context on n's shard.
-	l.timer = n.Sim.AfterFunc(at-n.Sim.Now(), func() {
-		l.timer = nil
-		rt.retransmit(n, l)
-	})
+	// Node-scoped timer: the link belongs to n, so the timer event runs
+	// (and is cancellable) in n's context on n's shard.
+	l.timer.Reset(at - n.Sim.Now())
 }
 
 // retransmit resends every pending frame whose deadline has passed, doubling
@@ -241,7 +256,8 @@ func (rt *RT) retransmit(n *NodeRT, l *sendLink) {
 	now := n.Sim.Now()
 	to := rt.Nodes[l.to]
 	rtoMax := rt.rtoCap()
-	for _, f := range l.pending {
+	for i := range l.pending {
+		f := &l.pending[i]
 		if f.deadline > now {
 			continue
 		}
@@ -292,7 +308,11 @@ func (rt *RT) recvFrame(n *NodeRT, from int, epoch int32, seq uint64, msg *Msg) 
 		rt.scheduleAck(n, l)
 		return
 	}
-	l.buf[seq] = msg
+	// Accept a copy: the receiver owns it from here, while the sender keeps
+	// the wire message for retransmission until acked.
+	own := n.newMsg()
+	n.copyMsg(own, msg)
+	l.buf[seq] = own
 	for {
 		next, ok := l.buf[l.cursor+1]
 		if !ok {
@@ -326,13 +346,10 @@ func (rt *RT) deliverInbox(n *NodeRT, msg *Msg) {
 // far, after a short coalescing delay. If an ack timer is already pending
 // the new delivery rides along — that is the batching.
 func (rt *RT) scheduleAck(n *NodeRT, l *recvLink) {
-	if l.ackTimer != nil {
+	if l.ackTimer.Pending() {
 		return
 	}
-	l.ackTimer = n.Sim.AfterFunc(sim.Time(rt.ackDelay()), func() {
-		l.ackTimer = nil
-		rt.sendAck(n, l)
-	})
+	l.ackTimer.Reset(sim.Time(rt.ackDelay()))
 }
 
 // sendAck emits the cumulative ack frame. Acks are unreliable (never
@@ -351,8 +368,8 @@ func (rt *RT) sendAck(n *NodeRT, l *recvLink) {
 	// receiver would provoke spurious retransmissions from every sender.
 	now := n.Sim.Now()
 	lat := rt.netDelay(n, peer, ackWords, now, rt.Model.ReplyLatency)
-	rt.Eng.SendAt(n.Sim, peer.Sim, now, lat, ackWords,
-		func() { rt.recvAck(peer, n.ID, epoch, cursor) })
+	rt.Eng.Transmit(n.Sim, peer.Sim, now, lat, ackWords, false,
+		sim.Packet{Epoch: epoch, Seq: cursor})
 }
 
 // recvAck applies a cumulative ack on the sending side: every pending frame
@@ -370,11 +387,19 @@ func (rt *RT) recvAck(n *NodeRT, from int, epoch int32, cursor uint64) {
 	for _, f := range l.pending {
 		if f.seq > cursor {
 			keep = append(keep, f)
+		} else if !rt.parEng {
+			// Settled: retire the wire message until no copy of it can
+			// still arrive. (Under the parallel engine a copy's arrival may
+			// run concurrently on another shard, so it is left to the
+			// garbage collector instead.)
+			f.msg.safeAt = f.lastCopy
+			n.retired.push(f.msg)
 		}
 	}
 	if len(keep) == len(l.pending) {
 		return // nothing newly acked
 	}
+	clear(l.pending[len(keep):])
 	l.pending = keep
 	n.charge(instr.OpMsg, rt.Model.ReplyRecv)
 	rt.armRetransmit(n, l)

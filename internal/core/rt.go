@@ -10,7 +10,8 @@ import (
 
 // RT is the runtime for one simulated machine: it owns the per-node runtime
 // state and implements sim.Runner, executing message handlers and ready
-// contexts as the engine pumps nodes.
+// contexts as the engine pumps nodes, and sim.Receiver, taking delivery of
+// the messages and reliable-layer frames the engine transports.
 type RT struct {
 	Eng   *sim.Engine
 	Model *machine.Model
@@ -198,6 +199,23 @@ func (rt *RT) RunOne(sn *sim.Node) bool {
 		return true
 	}
 	return false
+}
+
+// Deliver implements sim.Receiver: one packet arriving at node sn. Without
+// the reliable layer every packet is a message for the inbox; with it, a
+// packet is a sequenced data frame or, carrying no message, a cumulative
+// ack.
+func (rt *RT) Deliver(sn *sim.Node, p sim.Packet) {
+	n := rt.Nodes[sn.ID]
+	msg, _ := p.Msg.(*Msg)
+	switch {
+	case !rt.reliable():
+		rt.deliverInbox(n, msg)
+	case msg == nil:
+		rt.recvAck(n, int(p.From), p.Epoch, p.Seq)
+	default:
+		rt.recvFrame(n, int(p.From), p.Epoch, p.Seq, msg)
+	}
 }
 
 // LiveFrames returns the machine-wide count of live activation frames; at

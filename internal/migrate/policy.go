@@ -54,10 +54,15 @@ func pickDest(rt *core.RT, n *core.NodeRT, o *core.Object, minTop int32, alpha f
 		node  int32
 		count int32
 	}
-	var cands []cand
+	// Gathered into a fixed array — the sketch holds at most core.TopK
+	// sources — so the scan allocates nothing.
+	var buf [core.TopK]cand
+	k := 0
 	o.ForEachRemoteSource(func(node, count int32) {
-		cands = append(cands, cand{node, count})
+		buf[k] = cand{node, count}
+		k++
 	})
+	cands := buf[:k]
 	for i := 1; i < len(cands); i++ {
 		c := cands[i]
 		j := i - 1

@@ -16,7 +16,7 @@ func sendN(t *testing.T, n int, f *Faults) (*Engine, int) {
 	eng.SetFaults(f)
 	delivered := 0
 	for i := 0; i < n; i++ {
-		eng.Send(eng.Node(0), eng.Node(1), 10, 1, func() { delivered++ })
+		send(eng, eng.Node(0), eng.Node(1), 10, 1, func() { delivered++ })
 	}
 	eng.Run()
 	return eng, delivered
@@ -56,7 +56,7 @@ func TestFaultsReorderJitters(t *testing.T) {
 	eng.SetFaults(&Faults{Seed: 3, Reorder: 1, JitterMax: 100})
 	var arrivals []Time
 	for i := 0; i < 50; i++ {
-		eng.Send(eng.Node(0), eng.Node(1), 10, 1, func() { arrivals = append(arrivals, eng.Now()) })
+		send(eng, eng.Node(0), eng.Node(1), 10, 1, func() { arrivals = append(arrivals, eng.Now()) })
 	}
 	eng.Run()
 	if int(eng.FaultStats().Jitters) != 50 {

@@ -37,7 +37,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 )
 
@@ -164,7 +163,8 @@ func (e *Engine) EnableParallel(lookahead Time) bool {
 // single-threaded round).
 func (sh *shard) runWindow(horizon Time) {
 	for sh.q.len() > 0 && sh.q.peekAt() < horizon {
-		sh.dispatch(sh.q.pop())
+		ev := sh.q.pop()
+		sh.dispatch(&ev)
 	}
 }
 
@@ -229,7 +229,8 @@ func (e *Engine) round(limit Time, seq bool) bool {
 		return false
 	}
 	if g <= p {
-		e.gsh.dispatch(e.gsh.q.pop())
+		ev := e.gsh.q.pop()
+		e.gsh.dispatch(&ev)
 		return true
 	}
 	horizon := p + e.lookahead
@@ -257,31 +258,49 @@ func (e *Engine) round(limit Time, seq bool) bool {
 }
 
 // replay is the barrier's commit step: merge the shards' deferred side
-// effects, sort by the generating event's total-order key, and run them
+// effects by the generating event's total-order key and run them
 // single-threaded. Each shard's log is already key-sorted (a shard dispatches
-// in key order), and entries from the same event are contiguous in one
-// shard's log, so the stable sort preserves within-event program order.
+// in key order), no key occurs in two shards' logs (a context's events all
+// dispatch on one shard), and entries from the same event are contiguous in
+// one shard's log — so a k-way merge on the key reproduces the serial
+// engine's order, within-event program order included, without sorting.
 func (e *Engine) replay() {
-	m := e.merged[:0]
+	for {
+		var next *shard
+		for _, sh := range e.shards {
+			if sh.logPos == len(sh.log) {
+				continue
+			}
+			if next == nil || logLess(&sh.log[sh.logPos], &next.log[next.logPos]) {
+				next = sh
+			}
+		}
+		if next == nil {
+			break
+		}
+		ent := &next.log[next.logPos]
+		next.logPos++
+		if ent.fn != nil {
+			ent.fn()
+		} else {
+			e.xmit(&ent.x)
+		}
+	}
 	for _, sh := range e.shards {
-		m = append(m, sh.log...)
-		sh.log = sh.log[:0]
+		clear(sh.log) // drop the packets' and sinks' references
+		sh.log, sh.logPos = sh.log[:0], 0
 	}
-	sort.SliceStable(m, func(i, j int) bool {
-		a, b := &m[i], &m[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
-	for i := range m {
-		m[i].fn()
-		m[i].fn = nil
+}
+
+// logLess orders log entries by their generating event's key.
+func logLess(a, b *logEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	e.merged = m[:0]
+	if a.src != b.src {
+		return a.src < b.src
+	}
+	return a.seq < b.seq
 }
 
 // runParallel drives rounds until no events at or below limit remain,

@@ -35,7 +35,7 @@ func parTranscript(nodes int, lookahead Time, parallel bool) string {
 			return
 		}
 		to := eng.Node((n.ID + 1) % nodes)
-		eng.Send(n, to, lookahead+Time(n.ID%3), 4, func() {
+		send(eng, n, to, lookahead+Time(n.ID%3), 4, func() {
 			fifo.push(to.ID, func(m *Node) { volley(m, hops-1) })
 		})
 	}
@@ -94,7 +94,8 @@ func TestTimerStopShardLocal(t *testing.T) {
 				// then cancel it all within this node's own context.
 				timers := make([]*Timer, 3*compactMinQueue)
 				for j := range timers {
-					timers[j] = n.AfterFunc(1_000_000+Time(j), func() { fired[n.ID]++ })
+					timers[j] = n.NewTimer(func() { fired[n.ID]++ })
+					timers[j].Reset(1_000_000 + Time(j))
 				}
 				fifo.push(n.ID, func(m *Node) {
 					for _, tm := range timers {
@@ -103,7 +104,7 @@ func TestTimerStopShardLocal(t *testing.T) {
 				})
 				// Cross-shard sends force real windows around the cancels.
 				to := eng.Node((n.ID + nodes/2) % nodes)
-				eng.Send(n, to, 20, 2, func() {})
+				send(eng, n, to, 20, 2, func() {})
 			})
 			eng.Wake(eng.Node(i))
 		}

@@ -34,11 +34,17 @@ func less(a, b *event) bool {
 // every window w with w % nb == i (the calendar "year" is nb*width). An
 // event lands in the bucket of its window; dequeue walks the calendar from
 // the current window forward, popping from a bucket only while its minimum
-// lies inside the window under the cursor. Each bucket is itself a tiny
-// binary heap on (at, src, seq), so the bucket minimum is its element 0 — the
-// in-window test is one comparison — and pathological workloads (every
-// event at one instant) degrade to a single bucket heap, i.e. exactly the
-// oracle's O(log n), never worse.
+// lies inside the window under the cursor. Each bucket is a pairing heap on
+// (at, src, seq), so the bucket minimum is its root — the in-window test is
+// one comparison — and pathological workloads (every event at one instant)
+// degrade to a single bucket heap: O(1) push and amortized O(log n) pop,
+// never worse than a binary heap.
+//
+// All buckets share one event store: a slab of slots with a free list,
+// linked into the bucket heaps by slot index. A slot freed by pop is the
+// next one push fills, and the slab keeps its capacity for the run, so once
+// the queue has reached its peak population push and pop allocate nothing —
+// neither per bucket nor across resizes, which only relink slots.
 //
 // The queue resizes (doubling/halving nb, re-deriving width from the
 // observed event-time span) to hold mean occupancy at O(1), giving O(1)
@@ -58,27 +64,49 @@ func less(a, b *event) bool {
 
 const calMinBuckets = 16
 
+// nilSlot marks an empty bucket, a missing child or sibling, and the end
+// of the free list.
+const nilSlot int32 = -1
+
+// slot is one cell of the event store: a queued event and its pairing-heap
+// links (first child, next sibling), or a free cell whose next links the
+// free list.
+type slot struct {
+	ev          event
+	child, next int32
+	live        bool
+}
+
 type calendarQueue struct {
-	buckets []bucketHeap
-	nb      int // power of two
-	mask    int
-	width   Time
-	size    int
-	lastAt  Time // time of the most recently popped event (the scan floor)
+	slots  []slot  // the event store
+	free   int32   // first free slot
+	heads  []int32 // per-bucket heap root
+	nb     int     // power of two
+	mask   int
+	width  Time
+	size   int
+	lastAt Time // time of the most recently popped event (the scan floor)
 }
 
 func newCalendarQueue() *calendarQueue {
-	q := &calendarQueue{}
+	q := &calendarQueue{free: nilSlot}
 	q.reinit(calMinBuckets, 256)
 	return q
 }
 
-// reinit replaces the bucket array: nb buckets of the given width.
+// reinit empties the bucket array, sized to nb buckets of the given width.
+// The array keeps its capacity, so shrinking and regrowing reuse it.
 func (q *calendarQueue) reinit(nb int, width Time) {
 	if width < 1 {
 		width = 1
 	}
-	q.buckets = make([]bucketHeap, nb)
+	if cap(q.heads) < nb {
+		q.heads = make([]int32, nb)
+	}
+	q.heads = q.heads[:nb]
+	for i := range q.heads {
+		q.heads[i] = nilSlot
+	}
 	q.nb = nb
 	q.mask = nb - 1
 	q.width = width
@@ -86,8 +114,19 @@ func (q *calendarQueue) reinit(nb int, width Time) {
 
 func (q *calendarQueue) len() int { return q.size }
 
+func (q *calendarQueue) bucket(at Time) int { return int(at/q.width) & q.mask }
+
 func (q *calendarQueue) push(ev event) {
-	q.buckets[int(ev.at/q.width)&q.mask].push(ev)
+	i := q.free
+	if i == nilSlot {
+		i = int32(len(q.slots))
+		q.slots = append(q.slots, slot{})
+	} else {
+		q.free = q.slots[i].next
+	}
+	q.slots[i] = slot{ev: ev, child: nilSlot, next: nilSlot, live: true}
+	b := q.bucket(ev.at)
+	q.heads[b] = q.meld(q.heads[b], i)
 	q.size++
 	if q.size > 2*q.nb {
 		q.resize(q.nb * 2)
@@ -95,8 +134,11 @@ func (q *calendarQueue) push(ev event) {
 }
 
 func (q *calendarQueue) pop() event {
-	i := q.findMin()
-	ev := q.buckets[i].pop()
+	b := q.findMin()
+	r := q.heads[b]
+	ev := q.slots[r].ev
+	q.heads[b] = q.mergePairs(q.slots[r].child)
+	q.release(r)
 	q.size--
 	q.lastAt = ev.at
 	if q.size < q.nb/2 && q.nb > calMinBuckets {
@@ -105,9 +147,60 @@ func (q *calendarQueue) pop() event {
 	return ev
 }
 
+// release returns slot i to the free list, dropping the event's references.
+func (q *calendarQueue) release(i int32) {
+	q.slots[i] = slot{child: nilSlot, next: q.free}
+	q.free = i
+}
+
 func (q *calendarQueue) peekAt() Time {
-	i := q.findMin()
-	return q.buckets[i][0].at
+	return q.slots[q.heads[q.findMin()]].ev.at
+}
+
+// meld joins two heap roots (a may be nilSlot; b is a root with no
+// sibling) and returns the new root: the larger becomes the first child of
+// the smaller.
+func (q *calendarQueue) meld(a, b int32) int32 {
+	if a == nilSlot {
+		return b
+	}
+	s := q.slots
+	if less(&s[b].ev, &s[a].ev) {
+		a, b = b, a
+	}
+	s[b].next = s[a].child
+	s[a].child = b
+	return a
+}
+
+// mergePairs melds a popped root's children (a sibling list) into one heap:
+// adjacent pairs left to right, then the pairs right to left — the pairing
+// heap's two-pass rule, which is what makes pop amortized O(log n).
+func (q *calendarQueue) mergePairs(first int32) int32 {
+	s := q.slots
+	acc := nilSlot // melded pairs, in reverse order, linked through next
+	for first != nilSlot {
+		a := first
+		b := s[a].next
+		if b == nilSlot {
+			s[a].next = acc
+			acc = a
+			break
+		}
+		first = s[b].next
+		s[a].next, s[b].next = nilSlot, nilSlot
+		m := q.meld(a, b)
+		s[m].next = acc
+		acc = m
+	}
+	root := nilSlot
+	for acc != nilSlot {
+		next := s[acc].next
+		s[acc].next = nilSlot
+		root = q.meld(root, acc)
+		acc = next
+	}
+	return root
 }
 
 // findMin returns the index of the bucket holding the global minimum. The
@@ -120,7 +213,7 @@ func (q *calendarQueue) findMin() int {
 	cur := int(w) & q.mask
 	top := (w + 1) * q.width
 	for i := 0; i < q.nb; i++ {
-		if b := q.buckets[cur]; len(b) > 0 && b[0].at < top {
+		if h := q.heads[cur]; h != nilSlot && q.slots[h].ev.at < top {
 			return cur
 		}
 		cur = (cur + 1) & q.mask
@@ -129,12 +222,11 @@ func (q *calendarQueue) findMin() int {
 	// Nothing within a year: the queue is sparse relative to its calendar.
 	// Direct-search the bucket roots for the global minimum.
 	best := -1
-	for i := range q.buckets {
-		b := q.buckets[i]
-		if len(b) == 0 {
+	for i, h := range q.heads {
+		if h == nilSlot {
 			continue
 		}
-		if best < 0 || less(&b[0], &q.buckets[best][0]) {
+		if best < 0 || less(&q.slots[h].ev, &q.slots[q.heads[best]].ev) {
 			best = i
 		}
 	}
@@ -142,19 +234,16 @@ func (q *calendarQueue) findMin() int {
 }
 
 // resize rebuilds the calendar with nb buckets and a width re-derived from
-// the live events' time span, re-inserting everything. Amortized O(1): a
-// resize at size s costs O(s) and cannot recur for another Θ(s) operations.
+// the live events' time span, relinking every live slot. Amortized O(1): a
+// resize at size s costs O(slab) — at most the peak population — and cannot
+// recur for another Θ(s) operations.
 func (q *calendarQueue) resize(nb int) {
-	old := q.buckets
-	lo, hi, n := Time(0), Time(0), 0
-	for i := range old {
-		for j := range old[i] {
-			at := old[i][j].at
-			if n == 0 || at < lo {
-				lo = at
-			}
-			if n == 0 || at > hi {
-				hi = at
+	var hi Time
+	n := 0
+	for i := range q.slots {
+		if s := &q.slots[i]; s.live {
+			if n == 0 || s.ev.at > hi {
+				hi = s.ev.at
 			}
 			n++
 		}
@@ -175,84 +264,34 @@ func (q *calendarQueue) resize(nb int) {
 		}
 	}
 	q.reinit(nb, width)
-	for i := range old {
-		for j := range old[i] {
-			ev := old[i][j]
-			q.buckets[int(ev.at/q.width)&q.mask].push(ev)
+	q.relink()
+}
+
+// relink rebuilds every bucket heap from the live slots.
+func (q *calendarQueue) relink() {
+	for i := range q.slots {
+		s := &q.slots[i]
+		if !s.live {
+			continue
 		}
+		s.child, s.next = nilSlot, nilSlot
+		b := q.bucket(s.ev.at)
+		q.heads[b] = q.meld(q.heads[b], int32(i))
 	}
 }
 
 func (q *calendarQueue) compact(dead func(*event) bool) int {
 	removed := 0
-	for i := range q.buckets {
-		b := q.buckets[i][:0]
-		for j := range q.buckets[i] {
-			if dead(&q.buckets[i][j]) {
-				removed++
-			} else {
-				b = append(b, q.buckets[i][j])
-			}
+	for i := range q.slots {
+		if q.slots[i].live && dead(&q.slots[i].ev) {
+			q.release(int32(i))
+			removed++
 		}
-		q.buckets[i] = b
-		q.buckets[i].init()
 	}
-	q.size -= removed
+	if removed > 0 {
+		q.size -= removed
+		q.reinit(q.nb, q.width)
+		q.relink()
+	}
 	return removed
-}
-
-// bucketHeap is one bucket: a small binary min-heap on (at, src, seq), inlined
-// (no container/heap indirection) because push/pop on 1-2 element buckets
-// is the engine's hottest path.
-type bucketHeap []event
-
-func (b *bucketHeap) push(ev event) {
-	h := append(*b, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !less(&h[i], &h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	*b = h
-}
-
-func (b *bucketHeap) pop() event {
-	h := *b
-	ev := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release the fn/timer pointers
-	h = h[:n]
-	b.down(h, 0)
-	*b = h
-	return ev
-}
-
-func (b *bucketHeap) init() {
-	h := *b
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		b.down(h, i)
-	}
-}
-
-func (b *bucketHeap) down(h []event, i int) {
-	n := len(h)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if r := c + 1; r < n && less(&h[r], &h[c]) {
-			c = r
-		}
-		if !less(&h[c], &h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
 }

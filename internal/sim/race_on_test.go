@@ -1,0 +1,7 @@
+//go:build race
+
+package sim
+
+// raceEnabled reports that the race detector instruments this build; its
+// instrumentation allocates, so allocation-count tests skip.
+const raceEnabled = true

@@ -38,6 +38,27 @@ type Runner interface {
 	RunOne(n *Node) bool
 }
 
+// Receiver accepts packet deliveries: the engine calls Deliver once per
+// physical arrival of a transmission (see Transmit), at arrival time, in the
+// destination's context, and then wakes the destination. A Runner that also
+// implements Receiver becomes the engine's receiver when installed with
+// SetRunner; a runner that does not — an instrumenting wrapper around the
+// runtime's — leaves the installed receiver in place.
+type Receiver interface {
+	Deliver(n *Node, p Packet)
+}
+
+// Packet is what one transmission carries to its destination: the runtime's
+// message and the reliable layer's link stamp. The engine never looks inside
+// Msg (any pointer-shaped value is carried without allocating); From, the
+// sending node, is filled in at delivery.
+type Packet struct {
+	Msg   any
+	Seq   uint64
+	Epoch int32
+	From  int32
+}
+
 // Node is one simulated processor.
 type Node struct {
 	ID    int
@@ -113,7 +134,8 @@ type shard struct {
 	// shards' logs by event key and replays them single-threaded. Unused by
 	// the serial engine, which executes the same effects inline at the same
 	// points of the total order.
-	log []logEntry
+	log    []logEntry
+	logPos int // the barrier's merge cursor into log
 
 	// start releases this shard's worker for one window: the value is the
 	// dispatch horizon (exclusive). Closed to stop the worker.
@@ -121,12 +143,28 @@ type shard struct {
 }
 
 // logEntry is one deferred side effect, stamped with the key of the event
-// that generated it.
+// that generated it: an observer sink deferred by Node.Ordered (fn), or —
+// when fn is nil — one transmission, recorded as plain data.
 type logEntry struct {
 	at  Time
 	src int32
 	seq uint64
 	fn  func()
+	x   xmit
+}
+
+// xmit is one transmission as captured at the send instruction: the
+// endpoints, departure and latency, and the two clocks the ordered half
+// needs — base, the event time of the send (the arrival clamp floor), and
+// clk, the sender's clock then (the timestamp of any injected fault).
+type xmit struct {
+	from, to  *Node
+	depart    Time
+	lat       Time
+	base, clk Time
+	words     int
+	routed    bool
+	p         Packet
 }
 
 // Execution phases. The serial engine stays in phaseOrdered forever: every
@@ -157,6 +195,7 @@ type Engine struct {
 	gseq   uint64
 
 	runner Runner
+	recv   Receiver
 
 	// kind is the requested engine (see SetDefaultEngine); par reports that
 	// parallel execution is actually enabled (EnableParallel succeeded).
@@ -177,9 +216,6 @@ type Engine struct {
 
 	// chargeObs, if set, observes every clock advance (see SetChargeObserver).
 	chargeObs ChargeObserver
-
-	// merged is the barrier's reusable log-merge buffer.
-	merged []logEntry
 }
 
 // NewEngine creates an engine with n nodes, all clocks at zero. The engine
@@ -202,11 +238,16 @@ func NewEngine(n int) *Engine {
 }
 
 // SetRunner installs the work source shared by all nodes. It must be set
-// before Run.
-func (e *Engine) SetRunner(r Runner) { e.runner = r }
+// before Run. If r also implements Receiver it becomes the packet receiver.
+func (e *Engine) SetRunner(r Runner) {
+	e.runner = r
+	if rc, ok := r.(Receiver); ok {
+		e.recv = rc
+	}
+}
 
 // SetNetDelay installs the topology-latency hook applied to every routed
-// transmission (SendRouted). The engine calls it in ordered-commit context —
+// transmission (see Transmit). The engine calls it in ordered-commit context —
 // serially, in total event order — so implementations may mutate shared
 // contention state (link busy times) without synchronization.
 func (e *Engine) SetNetDelay(hook NetDelayFunc) { e.netHook = hook }
@@ -261,34 +302,42 @@ func (sh *shard) push(ev event) {
 }
 
 // dispatch runs one event: advances the shard clock, settles timer and
-// service bookkeeping, and invokes the callback with the event's key current
+// service bookkeeping, and performs the event's action with its key current
 // (for ordered-log stamping).
-func (sh *shard) dispatch(ev event) {
+func (sh *shard) dispatch(ev *event) {
 	if ev.service {
 		sh.servicePending--
 	}
 	sh.now = ev.at
 	sh.curAt, sh.curSrc, sh.curSeq = ev.at, ev.src, ev.seq
 	sh.eventCount++
-	if t := ev.timer; t != nil {
-		if t.stopped {
+	e := sh.eng
+	switch ev.kind {
+	case evPump:
+		e.pump(e.nodes[ev.node])
+	case evDeliver:
+		e.arrive(e.nodes[ev.node], ev)
+	case evTimer:
+		if ev.cancelled() {
 			// A cancelled timer that escaped compaction: its slot pops here,
 			// advancing event time but running nothing.
 			sh.cancelledPending--
 			return
 		}
-		t.fired = true
+		ev.timer.fired = true
+		ev.timer.fn()
+	default:
+		ev.fn()
 	}
-	ev.fn()
 }
 
 // Schedule registers fn to run at virtual time at, in the global context
 // (host setup, workload injection, service generators). Scheduling in the
 // past is a programming error and panics: it would break determinism. Under
 // the parallel engine the global context must not be touched from inside a
-// window — node-context code schedules through Node.AfterFunc and Wake.
+// window — node-context code schedules through timers and Wake.
 func (e *Engine) Schedule(at Time, fn func()) {
-	e.pushGlobal(at, fn, false, nil)
+	e.pushGlobal(event{at: at, fn: fn})
 }
 
 // ScheduleService registers a service event: a periodic tick (migration
@@ -296,35 +345,47 @@ func (e *Engine) Schedule(at Time, fn func()) {
 // its own. PendingWork excludes service events, so services that reschedule
 // only while PendingWork() > 0 cannot sustain each other indefinitely.
 func (e *Engine) ScheduleService(at Time, fn func()) {
-	e.pushGlobal(at, fn, true, nil)
+	e.pushGlobal(event{at: at, fn: fn, service: true})
 }
 
-func (e *Engine) pushGlobal(at Time, fn func(), service bool, t *Timer) {
+func (e *Engine) pushGlobal(ev event) {
 	if e.phase == phaseWindow {
 		panic("sim: global-context schedule from inside a parallel window")
 	}
-	if at < e.gsh.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", at, e.gsh.now))
+	if ev.at < e.gsh.now {
+		panic(fmt.Sprintf("sim: schedule at %d before now %d", ev.at, e.gsh.now))
 	}
 	e.gseq++
-	e.gsh.push(event{at: at, src: srcGlobal, seq: e.gseq, fn: fn, service: service, timer: t})
+	ev.src, ev.seq = srcGlobal, e.gseq
+	e.gsh.push(ev)
 }
 
-// schedule registers fn in node n's context: the event is stamped with n's
+// schedule queues ev in node n's context: the event is stamped with n's
 // identity and n's own sequence counter, which both engines advance at the
 // same points of the total order.
-func (n *Node) schedule(at Time, fn func(), service bool, t *Timer) {
-	if at < n.Now() {
-		panic(fmt.Sprintf("sim: node %d schedule at %d before now %d", n.ID, at, n.Now()))
+func (n *Node) schedule(ev event) {
+	if ev.at < n.Now() {
+		panic(fmt.Sprintf("sim: node %d schedule at %d before now %d", n.ID, ev.at, n.Now()))
 	}
 	n.ctxSeq++
-	n.sh.push(event{at: at, src: int32(n.ID), seq: n.ctxSeq, fn: fn, service: service, timer: t})
+	ev.src, ev.seq = int32(n.ID), n.ctxSeq
+	n.sh.push(ev)
 }
 
-// Timer is a cancellable scheduled callback (see AfterFunc). The runtime
-// layer uses timers for retransmissions and delayed acks.
+// Timer is a cancellable scheduled callback. Engine.AfterFunc arms a fresh
+// global-context timer once; Node.NewTimer makes a reusable node timer that
+// its owner re-arms with Reset — the runtime's per-link retransmit and
+// delayed-ack timers, which arm and cancel on nearly every frame without
+// allocating. Each arm is one timer event in the owner's context; the event
+// records the arm's generation, so an event left behind by a cancelled or
+// superseded arm is recognizably dead.
 type Timer struct {
-	sh      *shard
+	sh   *shard
+	node *Node // owning node; nil for a global-context timer
+	fn   func()
+	gen  uint64 // the current arm
+	// stopped marks the current arm cancelled; fired marks it run (a new
+	// reusable timer starts fired: nothing is pending).
 	stopped bool
 	fired   bool
 }
@@ -354,25 +415,38 @@ func (t *Timer) Stop() {
 	t.sh.maybeCompact()
 }
 
+// Pending reports whether the timer is armed: neither fired nor stopped.
+func (t *Timer) Pending() bool { return !t.stopped && !t.fired }
+
+// Reset arms the timer to fire after delay (from the current event time)
+// in its node's context, cancelling the pending arm first, if any. Only
+// node timers (Node.NewTimer) can be reset.
+func (t *Timer) Reset(delay Time) {
+	t.Stop()
+	if delay < 0 {
+		delay = 0
+	}
+	n := t.node
+	t.sh = n.sh
+	t.gen++
+	t.stopped, t.fired = false, false
+	n.schedule(event{at: n.Now() + delay, kind: evTimer, timer: t, aux: t.gen})
+}
+
+// NewTimer returns an unarmed timer that runs fn in this node's context
+// each time an arm fires (see Reset).
+func (n *Node) NewTimer(fn func()) *Timer {
+	return &Timer{sh: n.sh, node: n, fn: fn, fired: true}
+}
+
 // AfterFunc schedules fn to run after delay in the global context. Node-side
-// timers (retransmissions, delayed acks, flush windows) use Node.AfterFunc.
+// timers (retransmissions, delayed acks, flush windows) use Node timers.
 func (e *Engine) AfterFunc(delay Time, fn func()) *Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	t := &Timer{sh: e.gsh}
-	e.pushGlobal(e.gsh.now+delay, fn, false, t)
-	return t
-}
-
-// AfterFunc schedules fn to run after delay (from the current event time) in
-// this node's context, unless the returned timer is stopped first.
-func (n *Node) AfterFunc(delay Time, fn func()) *Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	t := &Timer{sh: n.sh}
-	n.schedule(n.Now()+delay, fn, false, t)
+	t := &Timer{sh: e.gsh, fn: fn}
+	e.pushGlobal(event{at: e.gsh.now + delay, kind: evTimer, timer: t})
 	return t
 }
 
@@ -386,7 +460,7 @@ func (n *Node) AfterFunc(delay Time, fn func()) *Timer {
 func (n *Node) Ordered(fn func()) {
 	if n.eng.phase == phaseWindow {
 		sh := n.sh
-		sh.log = append(sh.log, logEntry{sh.curAt, sh.curSrc, sh.curSeq, fn})
+		sh.log = append(sh.log, logEntry{at: sh.curAt, src: sh.curSrc, seq: sh.curSeq, fn: fn})
 		return
 	}
 	fn()
@@ -405,9 +479,7 @@ func (sh *shard) maybeCompact() {
 	if n < compactMinQueue || sh.cancelledPending <= n/2 {
 		return
 	}
-	removed := sh.q.compact(func(ev *event) bool {
-		return ev.timer != nil && ev.timer.stopped
-	})
+	removed := sh.q.compact((*event).cancelled)
 	sh.cancelledPending -= removed
 }
 
@@ -424,7 +496,7 @@ func (e *Engine) Wake(n *Node) {
 	if n.Clock > at {
 		at = n.Clock
 	}
-	n.schedule(at, func() { e.pump(n) }, false, nil)
+	n.schedule(event{at: at, kind: evPump, node: int32(n.ID)})
 }
 
 // pump runs exactly one task on n, then reschedules itself while work
@@ -439,7 +511,7 @@ func (e *Engine) pump(n *Node) {
 		// the window edge, but must not count as pending real work (the
 		// window generator would see it and keep opening windows forever).
 		n.pumpPending = true
-		n.schedule(n.stallUntil, func() { e.pump(n) }, true, nil)
+		n.schedule(event{at: n.stallUntil, kind: evPump, node: int32(n.ID), service: true})
 		return
 	}
 	if n.Clock < now {
@@ -455,115 +527,98 @@ func (e *Engine) pump(n *Node) {
 		if at < now {
 			at = now
 		}
-		n.schedule(at, func() { e.pump(n) }, false, nil)
+		n.schedule(event{at: at, kind: evPump, node: int32(n.ID)})
 	}
 }
 
-// Send transports a message from node `from` (at from's current clock) to
-// node `to`, delivering after `latency` virtual time units. The deliver
-// callback runs at arrival time, after which the destination node is woken.
-// Payload words are counted for statistics only; serialization costs are
-// charged by the runtime layer.
-func (e *Engine) Send(from, to *Node, latency Time, words int, deliver func()) {
-	e.sendCommon(from, to, from.Clock, latency, words, false, deliver)
-}
-
-// SendAt is Send with the departure time given explicitly instead of taken
-// from the sender's clock. Timer-driven NIC-level traffic (acks,
-// retransmissions) uses it with the current event time: such frames leave
-// when their timer fires, not serialized behind whatever the node's CPU is
-// executing (its clock may be far ahead of the event driving the timer).
-func (e *Engine) SendAt(from, to *Node, depart, latency Time, words int, deliver func()) {
-	e.sendCommon(from, to, depart, latency, words, false, deliver)
-}
-
-// SendRouted is SendAt routed through the installed topology hook (see
-// SetNetDelay): the final latency is computed at the engine's ordered-commit
-// point — in total event order, where shared link-contention state is safe —
-// from the departure time and the flat fallback latency. With no hook
-// installed the flat latency is used as-is.
-func (e *Engine) SendRouted(from, to *Node, depart, flat Time, words int, deliver func()) {
-	e.sendCommon(from, to, depart, flat, words, true, deliver)
-}
-
-// sendCommon charges sender statistics immediately (they are sender-local)
-// and routes the transmission itself — fault draws, topology latency, the
-// delivery push — through the ordered-commit point: inline on the serial
-// engine, deferred to the barrier under a parallel window. The sender's
-// clock and the event time are captured here, at the send instruction, so
-// deferred processing observes the values the serial engine would have.
-func (e *Engine) sendCommon(from, to *Node, depart, lat Time, words int, routed bool, deliver func()) {
+// Transmit sends packet p from node `from` to node `to`: it departs at
+// depart and arrives lat later. With routed set, lat is the flat fallback
+// and the installed topology hook (SetNetDelay) computes the final latency
+// at the ordered-commit point — in total event order, where shared
+// link-contention state is safe. Original sends depart at the sender's
+// clock; timer-driven NIC-level traffic (acks, retransmissions) departs at
+// the current event time, not serialized behind whatever the node's CPU is
+// executing. At arrival the installed Receiver gets the packet and the
+// destination is woken. Payload words are counted for statistics only;
+// serialization costs are charged by the runtime layer.
+//
+// Sender statistics are charged immediately (they are sender-local); the
+// transmission itself — fault draws, topology latency, the delivery push —
+// goes through the ordered-commit point: inline on the serial engine,
+// deferred to the barrier under a parallel window. The sender's clock and
+// the event time are captured here, at the send instruction, so deferred
+// processing observes the values the serial engine would have.
+func (e *Engine) Transmit(from, to *Node, depart, lat Time, words int, routed bool, p Packet) {
 	from.MsgsSent++
 	from.WordsSent += int64(words)
+	x := xmit{from: from, to: to, depart: depart, lat: lat, clk: from.Clock, words: words, routed: routed, p: p}
 	if e.phase == phaseWindow {
 		sh := from.sh
-		base, clk := sh.now, from.Clock
-		sh.log = append(sh.log, logEntry{sh.curAt, sh.curSrc, sh.curSeq, func() {
-			e.xmit(from, to, depart, lat, words, routed, base, clk, deliver)
-		}})
+		x.base = sh.now
+		sh.log = append(sh.log, logEntry{at: sh.curAt, src: sh.curSrc, seq: sh.curSeq, x: x})
 		return
 	}
-	e.xmit(from, to, depart, lat, words, routed, e.gsh.now, from.Clock, deliver)
+	x.base = e.gsh.now
+	e.xmit(&x)
 }
 
 // xmit performs the ordered half of one transmission: topology latency,
 // fault draws (in total event order, off the single seeded source), and the
-// delivery-event push. base is the event time of the send instruction (the
-// arrival clamp floor); clk is the sender's clock then (the trace timestamp
-// of any injected fault).
-func (e *Engine) xmit(from, to *Node, depart, lat Time, words int, routed bool, base, clk Time, deliver func()) {
-	if routed && e.netHook != nil {
-		lat = e.netHook(from.ID, to.ID, words, depart, lat)
+// delivery-event push.
+func (e *Engine) xmit(x *xmit) {
+	lat := x.lat
+	if x.routed && e.netHook != nil {
+		lat = e.netHook(x.from.ID, x.to.ID, x.words, x.depart, lat)
 	}
 	if e.par && lat < e.lookahead {
 		panic(fmt.Sprintf("sim: transmission latency %d below the %d-instruction lookahead; the conservative window is unsound", lat, e.lookahead))
 	}
-	arrive := depart + lat
-	if arrive < base {
-		arrive = base
+	arrive := x.depart + lat
+	if arrive < x.base {
+		arrive = x.base
 	}
 	if f := e.faults; f != nil {
 		cfg := f.cfg
 		if f.hit(cfg.Drop) {
-			e.observeFault(FaultDrop, from, to, words, 0, clk)
+			e.observeFault(FaultDrop, x.from, x.to, x.words, 0, x.clk)
 			return
 		}
 		if f.hit(cfg.Reorder) {
 			j := f.jitter(cfg.JitterMax)
-			e.observeFault(FaultJitter, from, to, words, j, clk)
+			e.observeFault(FaultJitter, x.from, x.to, x.words, j, x.clk)
 			arrive += j
 		}
 		if f.hit(cfg.Dup) {
-			e.observeFault(FaultDup, from, to, words, 0, clk)
+			e.observeFault(FaultDup, x.from, x.to, x.words, 0, x.clk)
 			dup := arrive + f.jitter(cfg.JitterMax+1)
-			e.deliverAt(from, to, dup, arrival(to, deliver))
+			e.deliverAt(x.from, x.to, dup, &x.p)
 		}
 	}
-	e.deliverAt(from, to, arrive, arrival(to, deliver))
-}
-
-// arrival wraps one physical delivery: a message arriving inside the
-// destination's crash window is lost — the node's NIC is down with the rest
-// of it.
-func arrival(to *Node, deliver func()) func() {
-	return func() {
-		if to.downUntil > to.sh.now {
-			to.sh.crashDrops++
-			return
-		}
-		to.MsgsRecv++
-		deliver()
-		to.eng.Wake(to)
-	}
+	e.deliverAt(x.from, x.to, arrive, &x.p)
 }
 
 // deliverAt schedules one physical delivery at node `to`. The event is
 // stamped in the sender's transmission context — srcXmit(from), sequenced by
 // the sender's xmitSeq at processing time — which both engines reach in the
 // same total order, so delivery events sort identically under either.
-func (e *Engine) deliverAt(from, to *Node, arrive Time, fn func()) {
+func (e *Engine) deliverAt(from, to *Node, arrive Time, p *Packet) {
 	from.xmitSeq++
-	to.sh.push(event{at: arrive, src: srcXmit(from.ID), seq: from.xmitSeq, fn: fn})
+	to.sh.push(event{at: arrive, src: srcXmit(from.ID), seq: from.xmitSeq,
+		kind: evDeliver, node: int32(to.ID), msg: p.Msg, aux: p.Seq, epoch: p.Epoch})
+}
+
+// arrive performs one physical delivery: a packet arriving inside the
+// destination's crash window is lost — the node's NIC is down with the rest
+// of it.
+func (e *Engine) arrive(to *Node, ev *event) {
+	if to.downUntil > to.sh.now {
+		to.sh.crashDrops++
+		return
+	}
+	to.MsgsRecv++
+	// The sender is recovered from its transmission context (srcXmit).
+	e.recv.Deliver(to, Packet{Msg: ev.msg, Seq: ev.aux, Epoch: ev.epoch, From: -2 - ev.src})
+	e.Wake(to)
 }
 
 // Run dispatches events until none remain. The runtime layer keeps nodes
@@ -577,7 +632,8 @@ func (e *Engine) Run() {
 	}
 	sh := e.gsh
 	for sh.q.len() > 0 {
-		sh.dispatch(sh.q.pop())
+		ev := sh.q.pop()
+		sh.dispatch(&ev)
 	}
 }
 
@@ -593,7 +649,8 @@ func (e *Engine) RunUntil(t Time) bool {
 	}
 	sh := e.gsh
 	for sh.q.len() > 0 && sh.q.peekAt() <= t {
-		sh.dispatch(sh.q.pop())
+		ev := sh.q.pop()
+		sh.dispatch(&ev)
 	}
 	return sh.q.len() > 0
 }
@@ -635,7 +692,8 @@ func (e *Engine) Step() bool {
 	if sh.q.len() == 0 {
 		return false
 	}
-	sh.dispatch(sh.q.pop())
+	ev := sh.q.pop()
+	sh.dispatch(&ev)
 	return true
 }
 
@@ -681,14 +739,14 @@ func Charge(n *Node, op instr.Op, cost instr.Instr) {
 	n.Counters.Add(op, cost)
 }
 
-// event is a scheduled callback. The (at, src, seq) triple is the engine's
-// total order: src identifies the scheduling context (srcGlobal the global
-// context, srcXmit(n) deliveries transmitted by node n, [0, N) node n's own
-// events) and seq is that context's own counter — so any two events compare
-// identically whether they were queued by the serial loop or by different
-// shards of the parallel engine. timer is set for AfterFunc events so that
-// cancellation can be observed at dispatch (and dead events identified by
-// compaction) without wrapping fn in a closure per timer.
+// event is one scheduled action, a typed record dispatched by kind: a node
+// pump, a packet delivery, a timer expiry, or a host closure. The
+// (at, src, seq) triple is the engine's total order: src identifies the
+// scheduling context (srcGlobal the global context, srcXmit(n) deliveries
+// transmitted by node n, [0, N) node n's own events) and seq is that
+// context's own counter — so any two events compare identically whether
+// they were queued by the serial loop or by different shards of the
+// parallel engine.
 //
 // The class ordering (global < transmission < node) is load-bearing for the
 // parallel engine: every same-instant child is scheduled in a context that
@@ -700,10 +758,32 @@ func Charge(n *Node, op instr.Op, cost instr.Instr) {
 type event struct {
 	at      Time
 	seq     uint64
-	fn      func()
 	src     int32
+	node    int32 // evPump, evDeliver: the node
+	kind    evKind
 	service bool
-	timer   *Timer
+	epoch   int32  // evDeliver: Packet.Epoch
+	aux     uint64 // evDeliver: Packet.Seq; evTimer: the arm's generation
+	msg     any    // evDeliver: Packet.Msg
+	fn      func() // evFunc: the host closure
+	timer   *Timer // evTimer
+}
+
+// evKind selects an event's action.
+type evKind uint8
+
+const (
+	evFunc    evKind = iota // run a host closure (Schedule, ScheduleService)
+	evPump                  // run one task on a node
+	evDeliver               // deliver a packet to a node
+	evTimer                 // fire a timer arm
+)
+
+// cancelled reports whether ev is a timer event whose arm was stopped or
+// superseded: it runs nothing when it pops, and compaction may drop it.
+func (ev *event) cancelled() bool {
+	t := ev.timer
+	return t != nil && (t.stopped || t.gen != ev.aux)
 }
 
 // srcGlobal is the global context's src: the minimum, so at any instant

@@ -26,6 +26,16 @@ func (r *fifoRunner) RunOne(n *Node) bool {
 	return true
 }
 
+// Deliver runs a packet sent with send: its Msg is the delivery callback.
+func (r *fifoRunner) Deliver(n *Node, p Packet) { p.Msg.(func())() }
+
+// send transports a message from node `from` (at from's current clock) to
+// node `to`, running deliver at arrival time, after which the destination
+// is woken.
+func send(e *Engine, from, to *Node, latency Time, words int, deliver func()) {
+	e.Transmit(from, to, from.Clock, latency, words, false, Packet{Msg: deliver})
+}
+
 func (r *fifoRunner) push(node int, fn func(*Node)) {
 	r.queues[node] = append(r.queues[node], fn)
 }
@@ -97,7 +107,7 @@ func TestSendLatencyAndStats(t *testing.T) {
 	src, dst := eng.Node(0), eng.Node(1)
 	delivered := Time(-1)
 	r.push(0, func(n *Node) {
-		eng.Send(n, dst, 250, 7, func() {
+		send(eng, n, dst, 250, 7, func() {
 			delivered = eng.Now()
 			r.push(1, func(*Node) {})
 		})
@@ -124,7 +134,7 @@ func TestBusyNodeDelaysMessageProcessing(t *testing.T) {
 	r.push(1, func(*Node) {})
 	eng.Wake(eng.Node(1))
 	eng.Schedule(50, func() {
-		eng.Send(eng.Node(0), eng.Node(1), 50, 1, func() {
+		send(eng, eng.Node(0), eng.Node(1), 50, 1, func() {
 			r.push(1, func(n *Node) { processedAt = n.Clock })
 		})
 	})
@@ -202,7 +212,7 @@ func TestQuickDeterministicClocks(t *testing.T) {
 			from := rng.Intn(4)
 			to := rng.Intn(4)
 			eng.Schedule(at, func() {
-				eng.Send(eng.Node(from), eng.Node(to), Time(rng.Intn(100)), 1, func() {
+				send(eng, eng.Node(from), eng.Node(to), Time(rng.Intn(100)), 1, func() {
 					r.push(to, func(n *Node) {
 						if n.Clock < minClock[n.ID] {
 							panic("clock went backwards")
