@@ -7,11 +7,15 @@ GO ?= go
 
 all: build test
 
-# Determinism vet: concertvet (internal/lint) runs the full analyzer suite —
-# methoddecl, framebounds, detrand, cellshare, goldenpath — over the whole
-# repo (its default patterns), then the standard vet suite runs. Exit status
-# 2 means an unsound finding, 1 pessimizing-only, 0 clean.
+# Formatting gate first: gofmt must list no file (fixtures included). Then
+# the determinism vet: concertvet (internal/lint) runs the full analyzer
+# suite — methoddecl, framebounds, detrand, cellshare, goldenpath — over the
+# whole repo (its default patterns), then the standard vet suite runs.
+# concertvet's exit status 2 means an unsound finding, 1 pessimizing-only,
+# 0 clean.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/concertvet
 	$(GO) vet ./...
 

@@ -21,6 +21,19 @@
 // synthetic clustered 3-D atom distribution with the same atom count (the
 // layout comparison — uniform random versus orthogonal recursive bisection
 // — is the experimental variable, and it is preserved).
+//
+// One program serves two placements. Run owns one chunk object per node
+// (Table 5: placement fixed by construction) and runs one iteration.
+// RunCells owns one chunk per spatial cluster (Tables 7 and 8), so the
+// runtime is free to migrate chunks between nodes mid-run, and iterates:
+// each iteration every chunk clears its remote-coordinate cache, evaluates
+// its pair list and flushes its combined force increments. Positions never
+// change, so the communication graph is identical every iteration — exactly
+// the steady-state traffic an adaptive policy can learn from. Pairs whose
+// partner lives in another chunk always take the fetch/cache/pending path,
+// even when both chunks share a node, so the arithmetic is
+// placement-invariant: any placement (and any migration history) yields the
+// same forces up to message-arrival summation order.
 package mdforce
 
 import (
@@ -40,17 +53,18 @@ const pairWork instr.Instr = 60
 // cacheWork is the bookkeeping cost of a cache lookup/insert.
 const cacheWork instr.Instr = 8
 
-// Pair is one cutoff pair, stored on the node that owns atom I.
+// Pair is one cutoff pair, stored on the chunk that owns atom I.
 type Pair struct {
 	I       int // local atom index within the owning chunk
 	JChunk  core.Ref
-	JIdx    int // index within JChunk
-	JGlobal int // global atom id (cache key)
-	JLocal  bool
+	JIdx    int  // index within JChunk
+	JGlobal int  // global atom id (cache key)
+	JLocal  bool // atom J is in the same chunk as atom I
 }
 
-// Chunk is the per-node object: its atoms, its pair list, the remote
-// coordinate cache, and the combined pending force increments.
+// Chunk is the unit of placement (one per node, or one per cluster): its
+// atoms, its pair list, the remote coordinate cache, and the combined
+// pending force increments.
 type Chunk struct {
 	Self    core.Ref
 	Pos     [][3]float64
@@ -63,15 +77,32 @@ type Chunk struct {
 	flushCache []*pendingForce
 }
 
+// MigrateWords models the chunk's serialized size: positions and forces
+// (6 words per atom), the pair list (5 words per pair), and a header. This
+// is what a migration message is charged for.
+func (c *Chunk) MigrateWords() int { return 2 + 6*len(c.Pos) + 5*len(c.Pairs) }
+
 type pendingForce struct {
 	chunk core.Ref
 	idx   int
 	f     [3]float64
 }
 
-// Coord is the coordinator object.
+// Phase is one step of the coordinator's schedule, run on every chunk and
+// closed by a join barrier.
+type Phase uint8
+
+const (
+	PhaseReset Phase = iota // clear the coordinate cache and pending increments
+	PhasePairs              // evaluate every owned pair
+	PhaseFlush              // deliver the combined force increments
+)
+
+// Coord is the coordinator object: the chunks and the phase schedule it
+// runs over them.
 type Coord struct {
 	Chunks []core.Ref
+	Phases []Phase
 }
 
 // Methods bundles the MD-Force program.
@@ -83,6 +114,7 @@ type Methods struct {
 	fetchCoords *core.Method
 	fillCache   *core.Method
 	addForce    *core.Method
+	chunkReset  *core.Method
 	chunkPairs  *core.Method
 	chunkFlush  *core.Method
 }
@@ -104,7 +136,7 @@ func Build() *Methods {
 	}
 	p.Add(m.fillCache)
 
-	// fetchCoords(idx, gid, requester): the atom owner forwards its reply
+	// fetchCoords(idx, gid, requester): the partner chunk forwards its reply
 	// obligation to a cache fill on the requesting chunk — a single
 	// continuation travels owner -> requester, and the fill's ack goes
 	// straight back to the suspended pair computation. Forwarding is not a
@@ -145,7 +177,8 @@ func Build() *Methods {
 		switch fr.PC {
 		case 0:
 			if pr.JLocal {
-				// Both atoms local: small computation, speculatively inlined.
+				// Both atoms in this chunk: small computation, speculatively
+				// inlined.
 				f := force(c.Pos[pr.I], c.Pos[pr.JIdx])
 				for d := 0; d < 3; d++ {
 					c.Force[pr.I][d] += f[d]
@@ -197,6 +230,19 @@ func Build() *Methods {
 		panic("md.pairForce: bad pc")
 	}
 	p.Add(m.pairForce)
+
+	// chunkReset: clear the per-iteration cache and pending tables.
+	m.chunkReset = &core.Method{Name: "md.chunkReset"}
+	m.chunkReset.Body = func(rt *core.RT, fr *core.Frame) core.Status {
+		c := fr.Node.State(fr.Self).(*Chunk)
+		c.Cache = map[int][3]float64{}
+		c.Pending = map[int]*pendingForce{}
+		c.flushCache = nil
+		rt.Work(fr, cacheWork)
+		rt.Reply(fr, 0)
+		return core.Done
+	}
+	p.Add(m.chunkReset)
 
 	// chunkPairs: evaluate every owned pair, join.
 	m.chunkPairs = &core.Method{Name: "md.chunkPairs", NLocals: 1,
@@ -270,9 +316,10 @@ func Build() *Methods {
 	}
 	p.Add(m.chunkFlush)
 
-	// main: pair phase on every chunk, join; then flush phase, join.
+	// main: run each phase of the coordinator's schedule on every chunk,
+	// each phase a join barrier across all chunks.
 	main := &core.Method{Name: "md.main", NLocals: 2,
-		MayBlockLocal: true, Calls: []*core.Method{m.chunkPairs, m.chunkFlush}}
+		MayBlockLocal: true, Calls: []*core.Method{m.chunkReset, m.chunkPairs, m.chunkFlush}}
 	main.Body = func(rt *core.RT, fr *core.Frame) core.Status {
 		c := fr.Node.State(fr.Self).(*Coord)
 		switch fr.PC {
@@ -281,12 +328,18 @@ func Build() *Methods {
 			fallthrough
 		case 1:
 			for {
-				if fr.Local(1).Int() >= 2 {
+				k := int(fr.Local(1).Int())
+				if k >= len(c.Phases) {
 					rt.Reply(fr, 0)
 					return core.Done
 				}
-				meth := m.chunkPairs
-				if fr.Local(1).Int() == 1 {
+				var meth *core.Method
+				switch c.Phases[k] {
+				case PhaseReset:
+					meth = m.chunkReset
+				case PhasePairs:
+					meth = m.chunkPairs
+				case PhaseFlush:
 					meth = m.chunkFlush
 				}
 				for {
@@ -304,7 +357,7 @@ func Build() *Methods {
 					return core.Unwound
 				}
 				fr.SetLocal(0, 0)
-				fr.SetLocal(1, core.IntW(fr.Local(1).Int()+1))
+				fr.SetLocal(1, core.IntW(int64(k+1)))
 			}
 		}
 		panic("md.main: bad pc")
@@ -504,6 +557,10 @@ type Result struct {
 	Messages      int64
 	Forces        [][3]float64 // by global atom id
 	PairCount     int
+	// Placement is where each chunk ended the run (node per chunk index).
+	Placement []int
+	// MaxChunksPerNode measures final placement balance.
+	MaxChunksPerNode int
 }
 
 // Assignment returns the atom placement inst would use under its Spatial
@@ -523,15 +580,72 @@ func Assignment(inst *Instance, spatial bool) []int {
 	return layout.Random(len(inst.Pos), pr.Nodes, pr.Seed+7)
 }
 
-// Run executes the kernel over inst under cfg on the given machine, using
-// the layout selected by inst's Spatial flag.
+// Run executes one iteration of the kernel over inst under cfg on the given
+// machine, one chunk per node, using the layout selected by inst's Spatial
+// flag.
 func Run(mdl *machine.Model, cfg core.Config, inst *Instance) Result {
 	return RunWithAssign(mdl, cfg, inst, Assignment(inst, inst.Params.Spatial))
 }
 
-// RunWithAssign executes the kernel with an explicit atom placement — the
-// hook automatic layout selection (layout.AutoSelect) probes through.
+// RunWithAssign executes one iteration with one chunk per node and an
+// explicit atom placement — the hook automatic layout selection
+// (layout.AutoSelect) probes through.
 func RunWithAssign(mdl *machine.Model, cfg core.Config, inst *Instance, assign []int) Result {
+	nodes := make([]int, inst.Params.Nodes)
+	for n := range nodes {
+		nodes[n] = n
+	}
+	return run(mdl, cfg, inst, assign, nodes, []Phase{PhasePairs, PhaseFlush})
+}
+
+// CellParams configures one migration-evaluation run (Tables 7 and 8): the
+// MD instance plus the iteration count (migration pays off only when
+// post-move iterations amortize the move cost).
+type CellParams struct {
+	MD    Params
+	Iters int
+}
+
+// DefaultCellParams packs the clusters tightly (lattice spacing comparable
+// to the cluster diameter) so cluster peripheries interact across the
+// cutoff: the communication graph has strong spatial affinity for ORB — and
+// for an adaptive policy — to exploit, while random placement makes most
+// cross-cell traffic remote.
+func DefaultCellParams() CellParams {
+	return CellParams{
+		MD: Params{Atoms: 4000, Clusters: 64, Box: 24, Cutoff: 2.4,
+			Nodes: 16, Scatter: 0.05, Seed: 1995},
+		Iters: 10,
+	}
+}
+
+// CellAssignment places cells (clusters) on nodes: ORB over the cluster
+// centers (the informed static layout) or uniformly at random (the
+// uninformed one an adaptive policy must repair).
+func CellAssignment(inst *Instance, spatial bool) []int {
+	if spatial {
+		return layout.ORB(inst.Centers, inst.Params.Nodes)
+	}
+	return layout.Random(len(inst.Centers), inst.Params.Nodes, inst.Params.Seed+13)
+}
+
+// RunCells executes iters iterations of the kernel over inst with one chunk
+// per cluster, chunk c starting on node cellAssign[c], under cfg (whose
+// Migration field selects the policy, nil for static). Forces are read back
+// from wherever each chunk ended up.
+func RunCells(mdl *machine.Model, cfg core.Config, inst *Instance, iters int, cellAssign []int) Result {
+	phases := make([]Phase, 0, 3*iters)
+	for it := 0; it < iters; it++ {
+		phases = append(phases, PhaseReset, PhasePairs, PhaseFlush)
+	}
+	return run(mdl, cfg, inst, inst.Cluster, cellAssign, phases)
+}
+
+// run executes the coordinator's phases over one chunk per placement slot:
+// atom gid belongs to chunk chunkOf[gid], and chunk c is created on node
+// place[c]. Chunks are created in index order and atoms and pairs appended
+// in instance order, so every placement builds the same chunk contents.
+func run(mdl *machine.Model, cfg core.Config, inst *Instance, chunkOf, place []int, phases []Phase) Result {
 	m := Build()
 	if err := m.Prog.Resolve(cfg.Interfaces); err != nil {
 		panic(err)
@@ -540,16 +654,16 @@ func RunWithAssign(mdl *machine.Model, cfg core.Config, inst *Instance, assign [
 	eng := sim.NewEngine(pr.Nodes)
 	rt := core.NewRT(eng, mdl, m.Prog, cfg)
 
-	chunks := make([]*Chunk, pr.Nodes)
-	chunkRefs := make([]core.Ref, pr.Nodes)
-	for n := range chunks {
-		chunks[n] = &Chunk{Cache: map[int][3]float64{}, Pending: map[int]*pendingForce{}}
-		chunkRefs[n] = rt.Node(n).NewObject(chunks[n])
-		chunks[n].Self = chunkRefs[n]
+	chunks := make([]*Chunk, len(place))
+	chunkRefs := make([]core.Ref, len(place))
+	for c := range chunks {
+		chunks[c] = &Chunk{Cache: map[int][3]float64{}, Pending: map[int]*pendingForce{}}
+		chunkRefs[c] = rt.Node(place[c]).NewObject(chunks[c])
+		chunks[c].Self = chunkRefs[c]
 	}
 	localIdx := make([]int, len(inst.Pos))
 	for gid, p := range inst.Pos {
-		c := chunks[assign[gid]]
+		c := chunks[chunkOf[gid]]
 		localIdx[gid] = len(c.Pos)
 		c.Pos = append(c.Pos, [3]float64{p.X, p.Y, p.Z})
 		c.Force = append(c.Force, [3]float64{})
@@ -557,18 +671,16 @@ func RunWithAssign(mdl *machine.Model, cfg core.Config, inst *Instance, assign [
 	}
 	for _, pair := range inst.Pairs {
 		i, j := pair[0], pair[1]
-		owner := assign[i]
-		c := chunks[owner]
-		c.Pairs = append(c.Pairs, Pair{
+		ci, cj := chunkOf[i], chunkOf[j]
+		chunks[ci].Pairs = append(chunks[ci].Pairs, Pair{
 			I:       localIdx[i],
-			JChunk:  chunkRefs[assign[j]],
+			JChunk:  chunkRefs[cj],
 			JIdx:    localIdx[j],
 			JGlobal: j,
-			JLocal:  assign[j] == owner,
+			JLocal:  ci == cj,
 		})
 	}
-	coord := &Coord{Chunks: chunkRefs}
-	coordRef := rt.Node(0).NewObject(coord)
+	coordRef := rt.Node(0).NewObject(&Coord{Chunks: chunkRefs, Phases: phases})
 
 	var res core.Result
 	rt.StartOn(0, m.Main, coordRef, &res)
@@ -581,37 +693,48 @@ func RunWithAssign(mdl *machine.Model, cfg core.Config, inst *Instance, assign [
 	}
 
 	forces := make([][3]float64, len(inst.Pos))
-	for _, c := range chunks {
+	perNode := make([]int, pr.Nodes)
+	placement := make([]int, len(chunks))
+	maxChunks := 0
+	for ci, c := range chunks {
 		for li, gid := range c.Global {
 			forces[gid] = c.Force[li]
 		}
+		placement[ci] = rt.Locate(chunkRefs[ci])
+		perNode[placement[ci]]++
+		maxChunks = max(maxChunks, perNode[placement[ci]])
 	}
 	st := rt.TotalStats()
 	return Result{
-		Seconds:       mdl.Seconds(eng.MaxClock()),
-		Counters:      eng.TotalCounters(),
-		LocalFraction: float64(st.LocalInvokes) / float64(st.LocalInvokes+st.RemoteInvokes),
-		Stats:         st,
-		Messages:      eng.TotalMessages(),
-		Forces:        forces,
-		PairCount:     len(inst.Pairs),
+		Seconds:          mdl.Seconds(eng.MaxClock()),
+		Counters:         eng.TotalCounters(),
+		LocalFraction:    float64(st.LocalInvokes) / float64(st.LocalInvokes+st.RemoteInvokes),
+		Stats:            st,
+		Messages:         eng.TotalMessages(),
+		Forces:           forces,
+		PairCount:        len(inst.Pairs),
+		Placement:        placement,
+		MaxChunksPerNode: maxChunks,
 	}
 }
 
 // Native computes the same forces in plain Go (pair order = instance
-// order). Summation order differs from the distributed execution, so
-// comparisons use a small tolerance.
-func Native(inst *Instance) [][3]float64 {
+// order), repeating the per-iteration increments iters times exactly as the
+// simulated kernel does. Summation order differs from the distributed
+// execution, so comparisons use a small tolerance.
+func Native(inst *Instance, iters int) [][3]float64 {
 	forces := make([][3]float64, len(inst.Pos))
 	pos := make([][3]float64, len(inst.Pos))
 	for i, p := range inst.Pos {
 		pos[i] = [3]float64{p.X, p.Y, p.Z}
 	}
-	for _, pr := range inst.Pairs {
-		f := force(pos[pr[0]], pos[pr[1]])
-		for d := 0; d < 3; d++ {
-			forces[pr[0]][d] += f[d]
-			forces[pr[1]][d] -= f[d]
+	for it := 0; it < iters; it++ {
+		for _, pr := range inst.Pairs {
+			f := force(pos[pr[0]], pos[pr[1]])
+			for d := 0; d < 3; d++ {
+				forces[pr[0]][d] += f[d]
+				forces[pr[1]][d] -= f[d]
+			}
 		}
 	}
 	return forces

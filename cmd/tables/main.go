@@ -42,7 +42,6 @@ import (
 	"repro/apps/chaos"
 	"repro/apps/em3d"
 	"repro/apps/mdforce"
-	migapp "repro/apps/migrate"
 	"repro/apps/overheads"
 	"repro/apps/seqbench"
 	"repro/apps/serve"
@@ -372,7 +371,7 @@ func table5(scale string, seed int64) {
 // the random placement. Every run's forces are verified against the native
 // reference before its row is printed.
 func table7(scale string, seed int64) {
-	base := migapp.DefaultParams()
+	base := mdforce.DefaultCellParams()
 	base.MD.Seed = seed
 	switch scale {
 	case "small":
@@ -383,9 +382,9 @@ func table7(scale string, seed int64) {
 		base.Iters = 6
 	}
 	inst := mdforce.Generate(base.MD)
-	native := migapp.Native(inst, base.Iters)
-	randAssign := migapp.CellAssignment(inst, false)
-	orbAssign := migapp.CellAssignment(inst, true)
+	native := mdforce.Native(inst, base.Iters)
+	randAssign := mdforce.CellAssignment(inst, false)
+	orbAssign := mdforce.CellAssignment(inst, true)
 
 	type variant struct {
 		name   string
@@ -404,14 +403,14 @@ func table7(scale string, seed int64) {
 	models := []*machine.Model{machine.CM5(), machine.T3D()}
 	// One cell per (machine, variant); the shared instance, reference forces
 	// and assignments are read-only.
-	cells := exp.Map(workers, len(models)*len(variants), func(i int) migapp.Result {
+	cells := exp.Map(workers, len(models)*len(variants), func(i int) mdforce.Result {
 		v := variants[i%len(variants)]
 		cfg := core.DefaultHybrid()
 		if v.policy != nil {
 			cfg.Migration = v.policy()
 		}
 		cfg.MigrationPeriod = v.period
-		return migapp.Run(models[i/len(variants)], adorned(cfg), inst, base.Iters, v.assign)
+		return mdforce.RunCells(models[i/len(variants)], adorned(cfg), inst, base.Iters, v.assign)
 	})
 	for mi, mdl := range models {
 		t := stats.Table{
@@ -794,16 +793,16 @@ func profileSection(scale string, seed int64, traceOut string) {
 	profiled(fmt.Sprintf("MD-Force %d atoms spatial hybrid, %d-node %s", mp.Atoms, mp.Nodes, mdl.Name),
 		func(cfg core.Config) { mdforce.Run(mdl, cfg, mdInst) })
 
-	gp := migapp.DefaultParams()
+	gp := mdforce.DefaultCellParams()
 	gp.MD.Seed = seed
 	gp.MD.Atoms, gp.MD.Clusters, gp.MD.Box, gp.MD.Nodes = 1200, 27, 18, 8
 	gp.Iters = 3
 	migInst := mdforce.Generate(gp.MD)
-	assign := migapp.CellAssignment(migInst, false)
+	assign := mdforce.CellAssignment(migInst, false)
 	profiled(fmt.Sprintf("MD-migrate adaptive %d atoms, %d-node %s", gp.MD.Atoms, gp.MD.Nodes, mdl.Name),
 		func(cfg core.Config) {
 			cfg.Migration = policy.DefaultThreshold()
-			migapp.Run(mdl, cfg, migInst, gp.Iters, assign)
+			mdforce.RunCells(mdl, cfg, migInst, gp.Iters, assign)
 		})
 
 	if traceOut != "" {

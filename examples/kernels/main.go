@@ -42,7 +42,7 @@ func main() {
 		inst := mdforce.Generate(pr)
 		h := mdforce.Run(mdl, core.DefaultHybrid(), inst)
 		p := mdforce.Run(mdl, core.ParallelOnly(), inst)
-		want := mdforce.Native(inst)
+		want := mdforce.Native(inst, 1)
 		errH := mdforce.MaxRelError(h.Forces, want)
 		errP := mdforce.MaxRelError(p.Forces, want)
 		status := fmt.Sprintf("forces within %.1e of native", math.Max(errH, errP))

@@ -48,10 +48,7 @@ func (rt *RT) Invoke(fr *Frame, m *Method, target Ref, slot int, args ...Word) C
 		n.Stats.RemoteInvokes++
 		rt.traceEvent(n, uint8(trace.KInvoke), m, 1)
 		rt.sendRequest(n, m, target, args, Cont{Fr: fr, Slot: slot, Node: int32(n.ID)}, loc)
-		if fr.Mode == StackMode {
-			return NeedUnwind
-		}
-		return Async
+		return pending(fr)
 	}
 	n.Stats.LocalInvokes++
 	rt.traceEvent(n, uint8(trace.KInvoke), m, 0)
@@ -68,10 +65,7 @@ func (rt *RT) Invoke(fr *Frame, m *Method, target Ref, slot int, args ...Word) C
 			obj.waiters.push(cf)
 			n.Stats.LockBlocks++
 			rt.traceEvent(n, uint8(trace.KLockBlock), m, 0)
-			if fr.Mode == StackMode {
-				return NeedUnwind
-			}
-			return Async
+			return pending(fr)
 		}
 		return rt.stackCall(n, fr, m, obj, target, slot, args)
 	}
@@ -79,10 +73,7 @@ func (rt *RT) Invoke(fr *Frame, m *Method, target Ref, slot int, args ...Word) C
 	// Parallel (heap-based) invocation.
 	cf := rt.newHeapFrame(n, m, target, args, Cont{Fr: fr, Slot: slot, Node: int32(n.ID)})
 	rt.scheduleOrPark(n, cf)
-	if fr.Mode == StackMode {
-		return NeedUnwind
-	}
-	return Async
+	return pending(fr)
 }
 
 // stackCall performs the speculative sequential invocation of m on the
@@ -95,10 +86,45 @@ func (rt *RT) stackCall(n *NodeRT, fr *Frame, m *Method, obj *Object, target Ref
 	rt.traceEvent(n, uint8(trace.KStackCall), m, 0)
 
 	cf := n.pool.checkout(m, n, target, args)
-	rt.frameCreated(n, obj)
-	cf.Mode = StackMode
 	cf.RetCont = Cont{Fr: fr, Slot: slot, Node: int32(n.ID)}
-	cf.CInfo = CallerInfo{CtxExists: fr.promoted}
+	switch rt.runSeq(n, cf, obj, CallerInfo{CtxExists: fr.promoted}) {
+	case Done:
+		deferred := cf.replyDeferred
+		rt.complete(n, cf)
+		if !deferred {
+			return OK
+		}
+		// The callee group-committed: it finished, but its reply is held
+		// until the covering checkpoint is acked, so the caller's slot is
+		// not filled yet. Same shape as a Forwarded chain still in flight.
+		return settled(fr, slot)
+	case Unwound:
+		// The callee fell back. Its lazily-created context now lives in the
+		// heap with our continuation linked into it (the caller-side work of
+		// Figure 6); the caller must in turn revert to its parallel version.
+		n.charge(instr.OpFallback, mdl.LinkCont)
+		return pending(fr)
+	case Forwarded:
+		// The callee passed its reply obligation along. If the forwarding
+		// chain completed synchronously the result has already landed in our
+		// slot ("executing the forwarded continuation completely on the
+		// stack", Section 3.2.3); otherwise we must wait for it.
+		rt.completeForwarded(n, cf)
+		return settled(fr, slot)
+	}
+	panic("core: invalid body status")
+}
+
+// runSeq is the one way into a method's sequential version, shared by the
+// paper's three entries: a stack call (Invoke), a local forward
+// (ForwardTail, Section 3.2.3) and a message wrapper (Section 3.3). cf is
+// a frame freshly checked out for the local object obj with its return
+// continuation set; runSeq installs caller_info ci, takes obj's lock if m
+// locks, runs the body on the stack and returns its status.
+func (rt *RT) runSeq(n *NodeRT, cf *Frame, obj *Object, ci CallerInfo) Status {
+	m := cf.M
+	rt.frameCreated(n, obj)
+	cf.CInfo = ci
 	if m.Locks {
 		obj.locked = true
 		cf.lockObj = obj
@@ -110,54 +136,26 @@ func (rt *RT) stackCall(n *NodeRT, fr *Frame, m *Method, obj *Object, target Ref
 	st := m.seq()(rt, cf)
 	n.curM = prevM
 	n.stackDepth--
+	return st
+}
 
-	switch st {
-	case Done:
-		deferred := cf.replyDeferred
-		rt.complete(n, cf)
-		if !deferred {
-			return OK
-		}
-		// The callee group-committed: it finished, but its reply is held
-		// until the covering checkpoint is acked, so the caller's slot is
-		// not filled yet. Same shape as a Forwarded chain still in flight.
-		if slot != JoinDiscard && fr.FutFull(slot) {
-			return OK
-		}
-		if slot == JoinDiscard && fr.joinOut == 0 {
-			return OK
-		}
-		if fr.Mode == StackMode {
-			return NeedUnwind
-		}
-		return Async
-	case Unwound:
-		// The callee fell back. Its lazily-created context now lives in the
-		// heap with our continuation linked into it (the caller-side work of
-		// Figure 6); the caller must in turn revert to its parallel version.
-		n.charge(instr.OpFallback, mdl.LinkCont)
-		if fr.Mode == StackMode {
-			return NeedUnwind
-		}
-		return Async
-	case Forwarded:
-		// The callee passed its reply obligation along. If the forwarding
-		// chain completed synchronously the result has already landed in our
-		// slot ("executing the forwarded continuation completely on the
-		// stack", Section 3.2.3); otherwise we must wait for it.
-		rt.completeForwarded(n, cf)
-		if slot != JoinDiscard && fr.FutFull(slot) {
-			return OK
-		}
-		if slot == JoinDiscard && fr.joinOut == 0 {
-			return OK
-		}
-		if fr.Mode == StackMode {
-			return NeedUnwind
-		}
-		return Async
+// pending is the status of an invocation whose result has not arrived: a
+// stack-mode caller must fall back (NeedUnwind), a heap one proceeds.
+func pending(fr *Frame) CallStatus {
+	if fr.Mode == StackMode {
+		return NeedUnwind
 	}
-	panic("core: invalid body status")
+	return Async
+}
+
+// settled is the status once a callee finished without replying directly
+// (a forwarded or group-committed chain): OK if the result already landed
+// in the caller's slot, or the caller's join drained, else pending.
+func settled(fr *Frame, slot int) CallStatus {
+	if slot == JoinDiscard && fr.joinOut == 0 || slot != JoinDiscard && fr.FutFull(slot) {
+		return OK
+	}
+	return pending(fr)
 }
 
 // chargeSchema charges the sequential calling-convention overhead beyond a
@@ -364,22 +362,8 @@ func (rt *RT) ForwardTail(fr *Frame, m *Method, target Ref, args ...Word) Status
 		n.Stats.StackCalls++
 
 		cf := n.pool.checkout(m, n, target, args)
-		rt.frameCreated(n, obj)
-		cf.Mode = StackMode
 		cf.RetCont = cont
-		cf.CInfo = fr.CInfo // caller_info is simply passed along
-		if m.Locks {
-			obj.locked = true
-			cf.lockObj = obj
-		}
-		rt.noteDurable(n, m, obj)
-		n.stackDepth++
-		prevM := n.curM
-		n.curM = m
-		st := m.seq()(rt, cf)
-		n.curM = prevM
-		n.stackDepth--
-		switch st {
+		switch rt.runSeq(n, cf, obj, fr.CInfo) { // caller_info is simply passed along
 		case Done:
 			// The whole forwarded chain completed synchronously: our reply
 			// obligation is discharged, so this activation finishes normally.

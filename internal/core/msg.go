@@ -205,21 +205,13 @@ func (rt *RT) sendRequest(from *NodeRT, m *Method, target Ref, args []Word, cont
 	msg.method, msg.target, msg.cont, msg.from = m, target, cont, int32(from.ID)
 	from.setArgs(msg, args)
 	w := msg.words()
-	if max := rt.maxMsgWords(); w > max {
-		panic(fmt.Sprintf("core: oversized message for %s: %d words (limit %d)", m.Name, w, max))
+	if w > DefaultMaxMsgWords {
+		panic(fmt.Sprintf("core: oversized message for %s: %d words (limit %d)", m.Name, w, DefaultMaxMsgWords))
 	}
 	from.charge(instr.OpMsg, rt.Model.MsgSendBase+rt.Model.MsgPerWord*instr.Instr(w))
 	to := rt.Nodes[dest]
 	lat := rt.Model.NetLatency + rt.Model.NetPerWord*instr.Instr(w)
 	rt.send(from, to, msg, w, lat)
-}
-
-// maxMsgWords returns the configured message-size limit.
-func (rt *RT) maxMsgWords() int {
-	if rt.Cfg.MaxMsgWords > 0 {
-		return rt.Cfg.MaxMsgWords
-	}
-	return DefaultMaxMsgWords
 }
 
 // sendReply transmits a value determining a remote continuation.
@@ -347,21 +339,7 @@ func (rt *RT) runWrapper(n *NodeRT, m *Method, obj *Object, msg *Msg) {
 	cf := n.pool.checkout(m, n, msg.target, msg.args)
 	cf.RetCont = msg.cont
 	n.freeMsg(msg)
-	rt.frameCreated(n, obj)
-	cf.Mode = StackMode
-	cf.CInfo = CallerInfo{CtxExists: true, Forwarded: true} // proxy context
-	if m.Locks {
-		obj.locked = true
-		cf.lockObj = obj
-	}
-	rt.noteDurable(n, m, obj)
-	n.stackDepth++
-	prevM := n.curM
-	n.curM = m
-	st := m.seq()(rt, cf)
-	n.curM = prevM
-	n.stackDepth--
-	switch st {
+	switch rt.runSeq(n, cf, obj, CallerInfo{CtxExists: true, Forwarded: true}) { // proxy context
 	case Done:
 		rt.complete(n, cf)
 	case Unwound:

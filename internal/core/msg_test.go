@@ -33,10 +33,10 @@ func TestMalformedRequestPanics(t *testing.T) {
 }
 
 // TestOversizedMessagePanics: the model does not fragment messages; a request
-// exceeding Config.MaxMsgWords is a programming error caught at the sender.
+// exceeding DefaultMaxMsgWords is a programming error caught at the sender.
 func TestOversizedMessagePanics(t *testing.T) {
 	p := NewProgram()
-	leaf := &Method{Name: "wideleaf", NArgs: 8}
+	leaf := &Method{Name: "wideleaf", NArgs: DefaultMaxMsgWords}
 	leaf.Body = func(rt *RT, fr *Frame) Status {
 		rt.Reply(fr, 0)
 		return Done
@@ -45,10 +45,8 @@ func TestOversizedMessagePanics(t *testing.T) {
 	if err := p.Resolve(Interfaces3); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultHybrid()
-	cfg.MaxMsgWords = 8 // header is 4 words, so 8 args cannot fit
 	eng := sim.NewEngine(2)
-	rt := NewRT(eng, machine.CM5(), p, cfg)
+	rt := NewRT(eng, machine.CM5(), p, DefaultHybrid())
 	rt.Node(0).NewObject(nil)
 	target := rt.Node(1).NewObject(nil)
 
@@ -61,7 +59,7 @@ func TestOversizedMessagePanics(t *testing.T) {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
-	args := make([]Word, 8)
+	args := make([]Word, DefaultMaxMsgWords) // plus the 4-word header
 	rt.sendRequest(rt.Node(0), leaf, target, args, Cont{}, 1)
 }
 

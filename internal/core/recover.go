@@ -289,7 +289,7 @@ func (rt *RT) shipRestores(backup *NodeRT, crashed int) {
 		batch = append(batch, ckptItem{ref: ref, ver: rec.ver,
 			words: append([]Word(nil), rec.words...)})
 	}
-	for _, chunk := range rt.fragment(batch) {
+	for _, chunk := range fragment(batch) {
 		msg := &Msg{kind: msgRestore, target: Ref{Node: int32(crashed)},
 			from: int32(backup.ID), ckptBatch: chunk}
 		w := msg.words()
@@ -304,16 +304,15 @@ func (rt *RT) shipRestores(backup *NodeRT, crashed int) {
 // one active message may carry; a real transport would fragment, so the
 // model does too — each chunk pays its own injection and latency costs, and
 // chunks pipeline through the (reliable) link like any other messages.
-func (rt *RT) fragment(batch []ckptItem) [][]ckptItem {
+func fragment(batch []ckptItem) [][]ckptItem {
 	if len(batch) == 0 {
 		return nil
 	}
-	max := rt.maxMsgWords()
 	var chunks [][]ckptItem
 	start, w := 0, 1 // running words(): count word + per-item 3+len
 	for i, it := range batch {
 		iw := 3 + len(it.words)
-		if i > start && w+iw > max {
+		if i > start && w+iw > DefaultMaxMsgWords {
 			chunks = append(chunks, batch[start:i])
 			start, w = i, 1
 		}
@@ -407,7 +406,7 @@ func (rt *RT) shipNode(n *NodeRT) {
 		rt.traceEvent(n, uint8(trace.KCheckpoint), nil, int64(len(words)))
 	}
 	b := rt.Nodes[rt.backup(n.ID)]
-	for _, chunk := range rt.fragment(batch) {
+	for _, chunk := range fragment(batch) {
 		msg := &Msg{kind: msgCkpt, target: Ref{Node: int32(n.ID)},
 			from: int32(n.ID), ckptBatch: chunk}
 		w := msg.words()

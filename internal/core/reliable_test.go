@@ -241,7 +241,6 @@ func TestValidateConfig(t *testing.T) {
 		{"nil model", nil, func(c *Config) {}, "machine model is nil"},
 		{"negative migration period", mdl, func(c *Config) { c.MigrationPeriod = -1 }, "MigrationPeriod"},
 		{"period without policy", mdl, func(c *Config) { c.MigrationPeriod = 100 }, "without a Migration policy"},
-		{"negative max words", mdl, func(c *Config) { c.MaxMsgWords = -1 }, "MaxMsgWords"},
 		{"negative hop bound", mdl, func(c *Config) { c.MaxForwardHops = -2 }, "MaxForwardHops"},
 		{"drop probability out of range", mdl, func(c *Config) { c.Faults = &sim.Faults{Drop: 1.5}; c.Reliable = true }, "out of range"},
 		{"lossy without reliable", mdl, func(c *Config) { c.Faults = &sim.Faults{Drop: 0.01} }, "Reliable is off"},

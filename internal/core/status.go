@@ -131,8 +131,6 @@ type Config struct {
 	// MigrationPeriod is the virtual-time interval between policy Tick
 	// calls (periodic-rebalance policies). Zero disables the heartbeat.
 	MigrationPeriod Instr
-	// MaxMsgWords overrides DefaultMaxMsgWords when positive.
-	MaxMsgWords int
 
 	// Network, if non-nil, is a factory for a topology/contention model
 	// (see machine.Network, e.g. machine.NewFatTree): it is called once

@@ -36,7 +36,7 @@ func sumValues(m map[string]int) int {
 }
 
 // localSortHelper launders through a same-package sort helper, the pattern
-// apps/mdforce and apps/migrate use.
+// apps/mdforce uses.
 func localSortHelper(m map[int]bool) []int {
 	var ids []int
 	for id := range m {

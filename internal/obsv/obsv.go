@@ -55,8 +55,8 @@ type Metrics struct {
 	intervals int // retained busy intervals across all nodes
 	truncated bool
 	kinds     [trace.NumKinds]int64
-	msgWords  Hist
-	suspend   Hist
+	msgWords  stats.LatencyHist
+	suspend   stats.LatencyHist
 	err       error // first attribution-contiguity violation
 
 	// Serving-request tracking (KReqArrive/KReqDone pairs). The latency
@@ -92,9 +92,9 @@ type nodeProfile struct {
 	total      int64 // attributed cycles; equals the final clock
 	end        int64 // end of the last observed charge (contiguity cursor)
 	ops        [instr.NumOps]int64
-	intervals  []interval // non-idle execution, coalesced, time-ordered
-	arrivals   []arrival  // message deliveries, time-ordered
-	lockBlocks []int64    // KLockBlock times, time-ordered
+	intervals  []interval         // non-idle execution, coalesced, time-ordered
+	arrivals   []arrival          // message deliveries, time-ordered
+	lockBlocks []int64            // KLockBlock times, time-ordered
 	pending    map[string][]int64 // open suspends per method (FIFO)
 }
 
@@ -388,10 +388,10 @@ func (m *Metrics) TailRequests(q float64) []ReqRecord {
 }
 
 // MsgWordsHist returns the histogram of sent-message payload sizes.
-func (m *Metrics) MsgWordsHist() *Hist { return &m.msgWords }
+func (m *Metrics) MsgWordsHist() *stats.LatencyHist { return &m.msgWords }
 
 // SuspendHist returns the histogram of suspend->wake durations.
-func (m *Metrics) SuspendHist() *Hist { return &m.suspend }
+func (m *Metrics) SuspendHist() *stats.LatencyHist { return &m.suspend }
 
 // CheckAttribution verifies the accounting invariant: on every node the
 // observed charges were contiguous from clock zero, so per-op attribution
@@ -414,42 +414,4 @@ func (m *Metrics) CheckAttribution() error {
 		}
 	}
 	return nil
-}
-
-// Hist is a power-of-two-bucket histogram of non-negative values.
-type Hist struct {
-	Buckets [64]int64 // Buckets[i] counts values with bit-length i (v=0 -> 0)
-	Count   int64
-	Sum     int64
-	Max     int64
-}
-
-// Add records v (negative values are clamped to zero).
-func (h *Hist) Add(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.Buckets[bitLen(v)]++
-	h.Count++
-	h.Sum += v
-	if v > h.Max {
-		h.Max = v
-	}
-}
-
-// Mean returns the average recorded value (0 when empty).
-func (h *Hist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-func bitLen(v int64) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
 }

@@ -65,13 +65,13 @@ func (m *Metrics) WriteReport(w io.Writer, title string, seconds func(int64) flo
 	tab.Render(w)
 	fmt.Fprintln(w)
 	m.CriticalPath().WritePath(w, seconds)
-	if m.msgWords.Count > 0 {
+	if m.msgWords.Count() > 0 {
 		fmt.Fprintf(w, "messages: %d sent, mean %.1f words, max %d\n",
-			m.msgWords.Count, m.msgWords.Mean(), m.msgWords.Max)
+			m.msgWords.Count(), m.msgWords.Mean(), m.msgWords.Max())
 	}
-	if m.suspend.Count > 0 {
+	if m.suspend.Count() > 0 {
 		fmt.Fprintf(w, "suspends: %d paired, mean %.0f instr, max %d\n",
-			m.suspend.Count, m.suspend.Mean(), m.suspend.Max)
+			m.suspend.Count(), m.suspend.Mean(), m.suspend.Max())
 	}
 	if m.Truncated() {
 		fmt.Fprintln(w, "note: detail log truncated (aggregates exact; path/export partial)")
