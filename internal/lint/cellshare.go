@@ -42,7 +42,7 @@ import (
 // sanctioned escape hatch is recognized: a function literal handed to an
 // Ordered(...) call runs single-threaded at the barrier's ordered commit, so
 // writes inside it are exempt. Reads, and mutations hidden behind method
-// calls (sh.eng.wg.Done()), are outside the pass's view — the -race pdes CI
+// calls (n.eng.gsh.push(ev)), are outside the pass's view — the -race pdes CI
 // job and the serial/parallel golden tests are the dynamic backstop.
 //
 // Conservatism: mutations hidden behind method calls or helper functions

@@ -1,11 +1,13 @@
 // Conservative parallel execution (PDES) for the discrete-event engine.
 //
-// The parallel engine partitions the simulated nodes into shards — each shard
-// owning its nodes' pending events and a private portion of the clock — and
-// alternates two phases:
+// The parallel engine partitions the simulated nodes into shards — node i
+// goes to shard i mod S, each shard owning its nodes' pending events and a
+// private portion of the clock — and alternates two phases:
 //
 //	window:  every shard concurrently dispatches its events with time below a
-//	         horizon that no cross-shard message can land under. Side effects
+//	         horizon that no cross-shard message can land under. The calling
+//	         goroutine runs shard 0 and S-1 workers run the rest; they meet
+//	         at a spinning barrier of atomic counters (see pool). Side effects
 //	         that cross shards (message transmissions, shared observer sinks)
 //	         are not performed; they are appended to a per-shard commit log,
 //	         stamped with the key of the generating event.
@@ -38,6 +40,8 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // EngineKind selects the execution engine.
@@ -145,12 +149,13 @@ func (e *Engine) EnableParallel(lookahead Time) bool {
 	for i := range shards {
 		shards[i] = &shard{eng: e, q: newCalendarQueue()}
 	}
-	// Block partition: shard s owns nodes [s*N/S, (s+1)*N/S) — neighbors in
-	// ID space share a shard, which for grid apps keeps most traffic
-	// shard-local. The global context keeps its own queue (e.gsh).
-	n := len(e.nodes)
+	// Interleaved partition: node i goes to shard i mod S. Locality buys
+	// nothing here — every transmission, intra-shard ones included, commits
+	// through the barrier — while activity that sweeps node IDs (a grid
+	// wavefront) would sit on one shard at a time under a block partition.
+	// The global context keeps its own queue (e.gsh).
 	for i, nd := range e.nodes {
-		nd.sh = shards[i*target/n]
+		nd.sh = shards[i%target]
 	}
 	e.shards = shards
 	e.par = true
@@ -159,8 +164,8 @@ func (e *Engine) EnableParallel(lookahead Time) bool {
 }
 
 // runWindow dispatches this shard's events strictly below horizon. Called
-// from the shard's worker goroutine during windows (and directly by Step's
-// single-threaded round).
+// by the window's goroutine (see pool) and directly by Step's
+// single-threaded round.
 func (sh *shard) runWindow(horizon Time) {
 	for sh.q.len() > 0 && sh.q.peekAt() < horizon {
 		ev := sh.q.pop()
@@ -168,34 +173,147 @@ func (sh *shard) runWindow(horizon Time) {
 	}
 }
 
-// work is the per-shard worker loop: each value received on start is one
-// window's horizon; the channel closing stops the worker.
-func (sh *shard) work() {
-	for horizon := range sh.start {
-		sh.runWindow(horizon)
-		sh.eng.wg.Done()
+// guardedWindow is runWindow with any panic captured into sh.panicked, so
+// that a panicking event stops its shard, not the process: the coordinating
+// goroutine re-raises it after the barrier (raisePanic).
+func (sh *shard) guardedWindow(horizon Time) {
+	defer func() {
+		if r := recover(); r != nil {
+			sh.panicked = r
+		}
+	}()
+	sh.runWindow(horizon)
+}
+
+// spinYields is how many times a pool waiter re-checks its counter, yielding
+// the processor in between, before it parks: about half a millisecond on an
+// idle x86 core, where runtime.Gosched costs some 130 ns. That covers the
+// usual barrier (replay plus a few global events) and an unbalanced window,
+// so back-to-back windows hand off without a futex sleep and wake-up, while
+// a longer serial phase parks the waiter instead of burning a core. On a
+// single CPU the yield is what lets the other goroutine run.
+const spinYields = 4096
+
+// pool runs the windows of one Run/RunUntil. The coordinating goroutine (the
+// caller) dispatches shards[0] itself and every other shard has a worker
+// goroutine, so S shards take S-1 workers. A window is released by
+// publishing its horizon and bumping gen; each worker adds itself to done
+// when its shard reaches the horizon. The atomics carry the happens-before
+// edges: everything the coordinator wrote before a release is visible to
+// the window, and everything a worker wrote in it is visible at the barrier.
+type pool struct {
+	gen     atomic.Uint32 // release count; the last one may be the stop
+	done    atomic.Uint32 // workers finished with the current window
+	horizon Time          // the released window's horizon (set before gen)
+	stop    bool          // the release tells the workers to exit (set before gen)
+
+	// Waiters that outlast spinYields sleep on cond; parked counts them so
+	// that a release or the window's last finish only locks mu when someone
+	// sleeps. A waiter increments parked under mu before re-checking its
+	// counter, and a signaller changes the counter before reading parked,
+	// so no wake-up is lost.
+	mu     sync.Mutex
+	cond   sync.Cond
+	parked atomic.Int32
+}
+
+// await returns once v holds want.
+func (p *pool) await(v *atomic.Uint32, want uint32) {
+	for i := 0; i < spinYields; i++ {
+		if v.Load() == want {
+			return
+		}
+		runtime.Gosched()
 	}
+	p.mu.Lock()
+	p.parked.Add(1)
+	for v.Load() != want {
+		p.cond.Wait()
+	}
+	p.parked.Add(-1)
+	p.mu.Unlock()
+}
+
+// wake rouses the parked waiters after a counter changed.
+func (p *pool) wake() {
+	if p.parked.Load() > 0 {
+		p.mu.Lock()
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	}
+}
+
+// work is a worker's loop: one window of sh per release, until the release
+// that stops it. Each release ends with the worker counted into done.
+func (p *pool) work(sh *shard, workers uint32) {
+	for gen := uint32(1); ; gen++ {
+		p.await(&p.gen, gen)
+		stop := p.stop
+		if !stop {
+			sh.guardedWindow(p.horizon)
+		}
+		if p.done.Add(1) == workers {
+			p.wake()
+		}
+		if stop {
+			return
+		}
+	}
+}
+
+// release starts the workers on the next window (or on their exit).
+func (p *pool) release() {
+	p.done.Store(0)
+	p.gen.Add(1)
+	p.wake()
+}
+
+// window runs one window across all shards and returns at its barrier.
+func (p *pool) window(shards []*shard, horizon Time) {
+	p.horizon = horizon
+	p.release()
+	shards[0].guardedWindow(horizon)
+	p.await(&p.done, uint32(len(shards)-1))
 }
 
 func (e *Engine) startWorkers() {
-	if e.workersUp {
-		return
-	}
-	e.workersUp = true
-	for _, sh := range e.shards {
-		sh.start = make(chan Time, 1)
-		go sh.work()
+	p := &pool{}
+	p.cond.L = &p.mu
+	e.pool = p
+	for _, sh := range e.shards[1:] {
+		go p.work(sh, uint32(len(e.shards)-1))
 	}
 }
 
+// stopWorkers releases the workers to exit and returns once each has
+// acknowledged, so no worker outlives its run.
 func (e *Engine) stopWorkers() {
-	if !e.workersUp {
+	p := e.pool
+	e.pool = nil
+	p.stop = true
+	p.release()
+	p.await(&p.done, uint32(len(e.shards)-1))
+}
+
+// raisePanic re-raises, on the coordinating goroutine, a panic captured in
+// the last window: the one from the earliest event when several shards
+// panicked, which is the panic the serial engine would have hit.
+func (e *Engine) raisePanic() {
+	var first *shard
+	for _, sh := range e.shards {
+		if sh.panicked != nil && (first == nil ||
+			keyLess(sh.curAt, sh.curSrc, sh.curSeq, first.curAt, first.curSrc, first.curSeq)) {
+			first = sh
+		}
+	}
+	if first == nil {
 		return
 	}
-	e.workersUp = false
+	r := first.panicked
 	for _, sh := range e.shards {
-		close(sh.start)
+		sh.panicked = nil
 	}
+	panic(r)
 }
 
 // nextTimes returns the time of the earliest pending node event (p) and of
@@ -246,13 +364,10 @@ func (e *Engine) round(limit Time, seq bool) bool {
 			sh.runWindow(horizon)
 		}
 	} else {
-		e.wg.Add(len(e.shards))
-		for _, sh := range e.shards {
-			sh.start <- horizon
-		}
-		e.wg.Wait()
+		e.pool.window(e.shards, horizon)
 	}
 	e.phase = phaseOrdered
+	e.raisePanic()
 	e.replay()
 	return true
 }
@@ -294,13 +409,18 @@ func (e *Engine) replay() {
 
 // logLess orders log entries by their generating event's key.
 func logLess(a, b *logEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
+	return keyLess(a.at, a.src, a.seq, b.at, b.src, b.seq)
+}
+
+// keyLess orders event keys (at, src, seq).
+func keyLess(aAt Time, aSrc int32, aSeq uint64, bAt Time, bSrc int32, bSeq uint64) bool {
+	if aAt != bAt {
+		return aAt < bAt
 	}
-	if a.src != b.src {
-		return a.src < b.src
+	if aSrc != bSrc {
+		return aSrc < bSrc
 	}
-	return a.seq < b.seq
+	return aSeq < bSeq
 }
 
 // runParallel drives rounds until no events at or below limit remain,

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // withParallel scopes the package defaults to a parallel engine with the
@@ -17,8 +19,8 @@ func withParallel(t *testing.T, shards int, body func()) {
 // parTranscript runs a ping-pong message storm across all node pairs and
 // renders the observable outcome (clocks, counters, message stats, event
 // count) so engines can be compared byte-wise at the sim level, with no
-// runtime layer on top.
-func parTranscript(nodes int, lookahead Time, parallel bool) string {
+// runtime layer on top. run drives the engine to quiescence (nil: Run).
+func parTranscript(nodes int, lookahead Time, parallel bool, run func(*Engine)) string {
 	eng := NewEngine(nodes)
 	fifo := newFifo(eng, 7)
 	if parallel {
@@ -46,7 +48,10 @@ func parTranscript(nodes int, lookahead Time, parallel bool) string {
 		}
 		eng.Wake(n)
 	}
-	eng.Run()
+	if run == nil {
+		run = (*Engine).Run
+	}
+	run(eng)
 	out := fmt.Sprintf("maxclock=%d events=%d msgs=%d\n",
 		eng.MaxClock(), eng.EventCount(), eng.TotalMessages())
 	for i := 0; i < nodes; i++ {
@@ -58,14 +63,155 @@ func parTranscript(nodes int, lookahead Time, parallel bool) string {
 
 // TestParallelEngineMatchesSerial pins byte-identity at the sim level: the
 // sharded engine must produce the same clocks, counts and message statistics
-// as the serial oracle for a cross-shard message storm.
+// as the serial oracle for a cross-shard message storm — with even shards,
+// uneven ones (3 over 8 nodes), and one node per shard.
 func TestParallelEngineMatchesSerial(t *testing.T) {
 	const lookahead = 50
-	serial := parTranscript(8, lookahead, false)
-	withParallel(t, 4, func() {
-		if par := parTranscript(8, lookahead, true); par != serial {
-			t.Fatalf("parallel transcript diverges:\nserial:\n%s\nparallel:\n%s", serial, par)
+	serial := parTranscript(8, lookahead, false, nil)
+	for _, shards := range []int{4, 3, 8} {
+		withParallel(t, shards, func() {
+			if par := parTranscript(8, lookahead, true, func(eng *Engine) {
+				if eng.Workers() != shards {
+					t.Fatalf("workers = %d, want %d", eng.Workers(), shards)
+				}
+				eng.Run()
+			}); par != serial {
+				t.Fatalf("%d shards: parallel transcript diverges:\nserial:\n%s\nparallel:\n%s", shards, serial, par)
+			}
+		})
+	}
+}
+
+// awaitGoroutines waits for the goroutine count to fall back to base: a
+// stopped worker exits on its own schedule, just after the run returns.
+func awaitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d: workers leaked", runtime.NumGoroutine(), base)
 		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestParallelRunUntilSlices drives the parallel engine through many
+// RunUntil slices — each starts and stops the worker pool — and checks that
+// the result stays byte-identical to the serial oracle's and that no worker
+// outlives its slice.
+func TestParallelRunUntilSlices(t *testing.T) {
+	const lookahead, slice = 50, 137
+	serial := parTranscript(8, lookahead, false, nil)
+	withParallel(t, 3, func() {
+		base := runtime.NumGoroutine()
+		slices := 0
+		par := parTranscript(8, lookahead, true, func(eng *Engine) {
+			for until := Time(slice); eng.RunUntil(until); until += slice {
+				slices++
+				awaitGoroutines(t, base)
+			}
+		})
+		awaitGoroutines(t, base)
+		if slices < 10 {
+			t.Fatalf("only %d slices: the run is too short to exercise restarts", slices)
+		}
+		if par != serial {
+			t.Fatalf("sliced parallel transcript diverges:\nserial:\n%s\nparallel:\n%s", serial, par)
+		}
+	})
+}
+
+// TestParallelPartitionBalancesWavefront pins the partition's purpose:
+// while a wavefront sweeps node IDs, the shards share the dispatched events
+// evenly at every stage of the sweep, not just in total. A block partition
+// fails this — the sweep's first half runs on one shard.
+func TestParallelPartitionBalancesWavefront(t *testing.T) {
+	const nodes, rounds, lookahead = 64, 32, 20
+	withParallel(t, 2, func() {
+		// Node 0 emits rounds tokens, and every node forwards each token it
+		// receives to the next node after one unit of work, so the band of
+		// busy nodes moves from low IDs to high ones, as a grid
+		// relaxation's activity does.
+		eng := NewEngine(nodes)
+		fifo := newFifo(eng, 10)
+		if !eng.EnableParallel(lookahead) {
+			t.Fatal("EnableParallel refused")
+		}
+		var forward func(n *Node)
+		forward = func(n *Node) {
+			if n.ID+1 == nodes {
+				return
+			}
+			to := eng.Node(n.ID + 1)
+			send(eng, n, to, lookahead, 1, func() {
+				fifo.push(to.ID, forward)
+			})
+		}
+		for r := 0; r < rounds; r++ {
+			fifo.push(0, forward)
+		}
+		eng.Wake(eng.Node(0))
+		// A token crosses a hop in lookahead+10, so the sweep ends at
+		// (nodes-1)*30 + rounds*10; check at each quarter of it.
+		end := Time((nodes-1)*30 + rounds*10)
+		for _, at := range []Time{end / 4, end / 2, 3 * end / 4, end} {
+			eng.RunUntil(at)
+			lo, hi := eng.shards[0].eventCount, eng.shards[1].eventCount
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			if float64(hi-lo) > 0.1*float64(hi) {
+				t.Errorf("at %d: shard event counts %d and %d differ by more than 10%%",
+					at, eng.shards[0].eventCount, eng.shards[1].eventCount)
+			}
+		}
+		if eng.Pending() != 0 || eng.MaxClock() != end {
+			t.Fatalf("sweep ended at %d with %d events pending, want %d and none", eng.MaxClock(), eng.Pending(), end)
+		}
+	})
+}
+
+// TestParallelWorkerPanicReachesCaller: a panic in a node event on a worker-owned
+// shard must not kill the process. The engine re-raises it on the calling
+// goroutine after the window's barrier, so the caller's recover sees it —
+// and when several shards panic in one window, it raises the earliest
+// event's panic, the one the serial engine hits.
+func TestParallelWorkerPanicReachesCaller(t *testing.T) {
+	run := func() (r any) {
+		const nodes = 4
+		eng := NewEngine(nodes)
+		fifo := newFifo(eng, 5)
+		coordNode, workerNode := 0, -1
+		if eng.EnableParallel(50) {
+			for i := 0; i < nodes && workerNode < 0; i++ {
+				if eng.shardOf(i) != eng.shardOf(coordNode) {
+					workerNode = i
+				}
+			}
+		} else {
+			workerNode = 1
+		}
+		// Both panics fall in the first window; the worker's comes first.
+		fifo.push(workerNode, func(*Node) { panic("worker shard") })
+		fifo.push(coordNode, func(*Node) {})
+		fifo.push(coordNode, func(*Node) { panic("coordinator shard") })
+		for i := 0; i < nodes; i++ {
+			eng.Wake(eng.Node(i))
+		}
+		defer func() { r = recover() }()
+		eng.Run()
+		return nil
+	}
+	want := run()
+	if want != "worker shard" {
+		t.Fatalf("serial engine recovered %v, want the worker-shard panic", want)
+	}
+	withParallel(t, 2, func() {
+		base := runtime.NumGoroutine()
+		if got := run(); got != want {
+			t.Fatalf("parallel engine recovered %v, want %v", got, want)
+		}
+		awaitGoroutines(t, base)
 	})
 }
 
@@ -87,6 +233,20 @@ func TestTimerStopShardLocal(t *testing.T) {
 		if eng.Workers() != 2 {
 			t.Fatalf("workers = %d, want 2", eng.Workers())
 		}
+		// Each node's partner is the next node on another shard, whatever
+		// the partition.
+		partner := make([]int, nodes)
+		for i := range partner {
+			partner[i] = -1
+			for k := 1; k < nodes && partner[i] < 0; k++ {
+				if j := (i + k) % nodes; eng.shardOf(j) != eng.shardOf(i) {
+					partner[i] = j
+				}
+			}
+			if partner[i] < 0 {
+				t.Fatalf("node %d has no partner on another shard", i)
+			}
+		}
 		fired := make([]int, nodes)
 		for i := 0; i < nodes; i++ {
 			fifo.push(i, func(n *Node) {
@@ -103,8 +263,7 @@ func TestTimerStopShardLocal(t *testing.T) {
 					}
 				})
 				// Cross-shard sends force real windows around the cancels.
-				to := eng.Node((n.ID + nodes/2) % nodes)
-				send(eng, n, to, 20, 2, func() {})
+				send(eng, n, eng.Node(partner[n.ID]), 20, 2, func() {})
 			})
 			eng.Wake(eng.Node(i))
 		}

@@ -22,7 +22,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/instr"
 )
@@ -137,9 +136,9 @@ type shard struct {
 	log    []logEntry
 	logPos int // the barrier's merge cursor into log
 
-	// start releases this shard's worker for one window: the value is the
-	// dispatch horizon (exclusive). Closed to stop the worker.
-	start chan Time
+	// panicked holds a panic recovered from this shard's window, for the
+	// coordinating goroutine to re-raise after the barrier (see pool).
+	panicked any
 }
 
 // logEntry is one deferred side effect, stamped with the key of the event
@@ -206,9 +205,8 @@ type Engine struct {
 	lookahead   Time
 	netHook     NetDelayFunc
 
-	// Worker pool for parallel windows (see parallel.go).
-	wg        sync.WaitGroup
-	workersUp bool
+	// Worker pool of the running parallel Run/RunUntil (see parallel.go).
+	pool *pool
 
 	// Fault injection (nil when fault-free; see faults.go).
 	faults     *faultState
