@@ -22,7 +22,6 @@ import (
 	"repro/internal/instr"
 	"repro/internal/layout"
 	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 // theta is the opening criterion: cells subtending less than this are
@@ -416,8 +415,7 @@ func Run(mdl *machine.Model, cfg core.Config, inst *Instance) Result {
 		panic(err)
 	}
 	pr := inst.Params
-	eng := sim.NewEngine(pr.Nodes)
-	rt := core.NewRT(eng, mdl, m.Prog, cfg)
+	sys := core.NewSystem(mdl, pr.Nodes, m.Prog, cfg)
 
 	// Body placement.
 	var assign []int
@@ -435,7 +433,7 @@ func Run(mdl *machine.Model, cfg core.Config, inst *Instance) Result {
 	chunkRefs := make([]core.Ref, pr.Nodes)
 	for n := range chunks {
 		chunks[n] = &Chunk{}
-		chunkRefs[n] = rt.Node(n).NewObject(chunks[n])
+		chunkRefs[n] = sys.NewObject(n, chunks[n])
 	}
 	localIdx := make([]int, pr.Bodies)
 	for b := 0; b < pr.Bodies; b++ {
@@ -452,31 +450,22 @@ func Run(mdl *machine.Model, cfg core.Config, inst *Instance) Result {
 	// first body; cells above RepDepth are replicated per node.
 	root := buildTree(inst)
 	markOwners(root, assign)
-	replicaRoots := placeTree(rt, root, pr)
+	replicaRoots := placeTree(sys, root, pr)
 	for n := range chunks {
 		chunks[n].Root = replicaRoots[n]
 	}
 
-	coordRef := rt.Node(0).NewObject(&Coord{Chunks: chunkRefs})
-	var res core.Result
-	rt.StartOn(0, m.Main, coordRef, &res)
-	rt.Run()
-	if !res.Done {
-		panic("barneshut: did not complete")
-	}
-	if err := rt.CheckQuiescence(); err != nil {
-		panic(err)
-	}
+	sys.Start(0, m.Main, sys.NewObject(0, &Coord{Chunks: chunkRefs}))
+	sys.MustRun()
 
 	out := Result{
-		Seconds:  mdl.Seconds(eng.MaxClock()),
-		Stats:    rt.TotalStats(),
-		Messages: eng.TotalMessages(),
-		Fx:       make([]float64, pr.Bodies),
-		Fy:       make([]float64, pr.Bodies),
+		Seconds:       sys.Seconds(),
+		LocalFraction: sys.LocalFraction(),
+		Stats:         sys.Stats(),
+		Messages:      sys.Messages(),
+		Fx:            make([]float64, pr.Bodies),
+		Fy:            make([]float64, pr.Bodies),
 	}
-	out.LocalFraction = float64(out.Stats.LocalInvokes) /
-		float64(out.Stats.LocalInvokes+out.Stats.RemoteInvokes)
 	for n := range chunks {
 		for li, b := range chunks[n].Bodies {
 			out.Fx[b] = chunks[n].Fx[li]
@@ -500,7 +489,7 @@ func markOwners(n *tnode, assign []int) {
 
 // placeTree instantiates cells as runtime objects: replicated above
 // RepDepth (returning per-node root replicas), singly-owned below.
-func placeTree(rt *core.RT, root *tnode, pr Params) []core.Ref {
+func placeTree(sys *core.System, root *tnode, pr Params) []core.Ref {
 	deepRefs := map[*tnode]core.Ref{}
 	var placeDeep func(n *tnode) core.Ref
 	placeDeep = func(n *tnode) core.Ref {
@@ -512,7 +501,7 @@ func placeTree(rt *core.RT, root *tnode, pr Params) []core.Ref {
 		}
 		cell := &Cell{CMX: n.cmx, CMY: n.cmy, Mass: n.mass, Size: n.size,
 			Leaf: n.leaf, Body: n.body}
-		ref := rt.Node(n.owner).NewObject(cell)
+		ref := sys.NewObject(n.owner, cell)
 		deepRefs[n] = ref
 		for i, c := range n.children {
 			cell.Children[i] = placeDeep(c)
@@ -532,7 +521,7 @@ func placeTree(rt *core.RT, root *tnode, pr Params) []core.Ref {
 			}
 			cell := &Cell{CMX: n.cmx, CMY: n.cmy, Mass: n.mass, Size: n.size,
 				Leaf: n.leaf, Body: n.body}
-			ref := rt.Node(nd).NewObject(cell)
+			ref := sys.NewObject(nd, cell)
 			for i, c := range n.children {
 				cell.Children[i] = placeRep(c)
 			}

@@ -28,7 +28,6 @@ import (
 	"repro/internal/instr"
 	"repro/internal/layout"
 	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 // Variant selects the communication structure.
@@ -508,8 +507,7 @@ func Run(mdl *machine.Model, cfg core.Config, variant Variant, g *Graph) Result 
 		panic(err)
 	}
 	pr := g.Params
-	eng := sim.NewEngine(pr.Nodes)
-	rt := core.NewRT(eng, mdl, m.Prog, cfg)
+	sys := core.NewSystem(mdl, pr.Nodes, m.Prog, cfg)
 
 	half := pr.N / 2
 	nodes := make([]*GNode, pr.N)
@@ -521,7 +519,7 @@ func Run(mdl *machine.Model, cfg core.Config, variant Variant, g *Graph) Result 
 	for gi := 0; gi < pr.N; gi++ {
 		gn := &GNode{Val: initVal(gi)}
 		nodes[gi] = gn
-		refs[gi] = rt.Node(g.Place[gi]).NewObject(gn)
+		refs[gi] = sys.NewObject(g.Place[gi], gn)
 		if gi < half {
 			chunks[g.Place[gi]].E = append(chunks[g.Place[gi]].E, refs[gi])
 		} else {
@@ -539,30 +537,20 @@ func Run(mdl *machine.Model, cfg core.Config, variant Variant, g *Graph) Result 
 	}
 	coord := &Coord{}
 	for n := 0; n < pr.Nodes; n++ {
-		coord.Chunks = append(coord.Chunks, rt.Node(n).NewObject(chunks[n]))
+		coord.Chunks = append(coord.Chunks, sys.NewObject(n, chunks[n]))
 	}
-	coordRef := rt.Node(0).NewObject(coord)
-
-	var res core.Result
-	rt.StartOn(0, m.Main, coordRef, &res, core.IntW(int64(pr.Iters)))
-	rt.Run()
-	if !res.Done {
-		panic("em3d: did not complete")
-	}
-	if err := rt.CheckQuiescence(); err != nil {
-		panic(err)
-	}
-	st := rt.TotalStats()
+	sys.Start(0, m.Main, sys.NewObject(0, coord), core.IntW(int64(pr.Iters)))
+	sys.MustRun()
 	var sum float64
 	for gi := 0; gi < pr.N; gi++ {
 		sum += nodes[gi].Val
 	}
 	return Result{
-		Seconds:       mdl.Seconds(eng.MaxClock()),
-		LocalFraction: float64(st.LocalInvokes) / float64(st.LocalInvokes+st.RemoteInvokes),
-		Stats:         st,
-		Counters:      eng.TotalCounters(),
-		Messages:      eng.TotalMessages(),
+		Seconds:       sys.Seconds(),
+		LocalFraction: sys.LocalFraction(),
+		Stats:         sys.Stats(),
+		Counters:      sys.Counters(),
+		Messages:      sys.Messages(),
 		Checksum:      sum,
 	}
 }

@@ -44,7 +44,6 @@ import (
 	"repro/internal/instr"
 	"repro/internal/layout"
 	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 // pairWork is the useful work of one pair-force evaluation.
@@ -651,14 +650,13 @@ func run(mdl *machine.Model, cfg core.Config, inst *Instance, chunkOf, place []i
 		panic(err)
 	}
 	pr := inst.Params
-	eng := sim.NewEngine(pr.Nodes)
-	rt := core.NewRT(eng, mdl, m.Prog, cfg)
+	sys := core.NewSystem(mdl, pr.Nodes, m.Prog, cfg)
 
 	chunks := make([]*Chunk, len(place))
 	chunkRefs := make([]core.Ref, len(place))
 	for c := range chunks {
 		chunks[c] = &Chunk{Cache: map[int][3]float64{}, Pending: map[int]*pendingForce{}}
-		chunkRefs[c] = rt.Node(place[c]).NewObject(chunks[c])
+		chunkRefs[c] = sys.NewObject(place[c], chunks[c])
 		chunks[c].Self = chunkRefs[c]
 	}
 	localIdx := make([]int, len(inst.Pos))
@@ -680,17 +678,8 @@ func run(mdl *machine.Model, cfg core.Config, inst *Instance, chunkOf, place []i
 			JLocal:  ci == cj,
 		})
 	}
-	coordRef := rt.Node(0).NewObject(&Coord{Chunks: chunkRefs, Phases: phases})
-
-	var res core.Result
-	rt.StartOn(0, m.Main, coordRef, &res)
-	rt.Run()
-	if !res.Done {
-		panic("mdforce: did not complete")
-	}
-	if err := rt.CheckQuiescence(); err != nil {
-		panic(err)
-	}
+	sys.Start(0, m.Main, sys.NewObject(0, &Coord{Chunks: chunkRefs, Phases: phases}))
+	sys.MustRun()
 
 	forces := make([][3]float64, len(inst.Pos))
 	perNode := make([]int, pr.Nodes)
@@ -700,17 +689,16 @@ func run(mdl *machine.Model, cfg core.Config, inst *Instance, chunkOf, place []i
 		for li, gid := range c.Global {
 			forces[gid] = c.Force[li]
 		}
-		placement[ci] = rt.Locate(chunkRefs[ci])
+		placement[ci] = sys.RT.Locate(chunkRefs[ci])
 		perNode[placement[ci]]++
 		maxChunks = max(maxChunks, perNode[placement[ci]])
 	}
-	st := rt.TotalStats()
 	return Result{
-		Seconds:          mdl.Seconds(eng.MaxClock()),
-		Counters:         eng.TotalCounters(),
-		LocalFraction:    float64(st.LocalInvokes) / float64(st.LocalInvokes+st.RemoteInvokes),
-		Stats:            st,
-		Messages:         eng.TotalMessages(),
+		Seconds:          sys.Seconds(),
+		Counters:         sys.Counters(),
+		LocalFraction:    sys.LocalFraction(),
+		Stats:            sys.Stats(),
+		Messages:         sys.Messages(),
 		Forces:           forces,
 		PairCount:        len(inst.Pairs),
 		Placement:        placement,

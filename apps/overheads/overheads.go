@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/instr"
 	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 // Entry is one measured scenario.
@@ -300,35 +299,25 @@ func measureOne(mdl *machine.Model, sc int, stackCaller bool, adorn func(core.Co
 	if err := p.Resolve(core.Interfaces3); err != nil {
 		panic(err)
 	}
-	eng := sim.NewEngine(2)
-	cfg := adorn(core.DefaultHybrid())
-	rt := core.NewRT(eng, mdl, p, cfg)
+	sys := core.NewSystem(mdl, 2, p, adorn(core.DefaultHybrid()))
 	rec := &recorder{}
-	self := rt.Node(0).NewObject(rec)
-	rec.remoteObj = rt.Node(1).NewObject(&cell{v: 9})
-	rec.lockObj = rt.Node(0).NewObject(nil)
+	self := sys.NewObject(0, rec)
+	rec.remoteObj = sys.NewObject(1, &cell{v: 9})
+	rec.lockObj = sys.NewObject(0, nil)
 
-	var res core.Result
 	if stackCaller {
 		// The driver invokes measure() as a local stack call, so the
 		// measuring caller runs in stack mode.
-		rt.StartOn(0, driver, self, &res, core.IntW(int64(sc)))
+		sys.Start(0, driver, self, core.IntW(int64(sc)))
 	} else {
 		// measure() runs directly as a (heap) root context; for the lock
 		// scenario the holder must be seeded first.
 		if sc == scMBLock {
-			var hres core.Result
-			rt.StartOn(0, ms["holder"], rec.lockObj, &hres, core.RefW(rec.remoteObj))
+			sys.Start(0, ms["holder"], rec.lockObj, core.RefW(rec.remoteObj))
 		}
-		rt.StartOn(0, measure, self, &res, core.IntW(int64(sc)))
+		sys.Start(0, measure, self, core.IntW(int64(sc)))
 	}
-	rt.Run()
-	if !res.Done {
-		panic("overheads: scenario did not complete")
-	}
-	if err := rt.CheckQuiescence(); err != nil {
-		panic(err)
-	}
+	sys.MustRun()
 	over := rec.over[sc] - mdl.CCall
 	if over < 0 {
 		over = 0
@@ -344,18 +333,13 @@ func measureHeapInvoke(mdl *machine.Model, adorn func(core.Config) core.Config) 
 	if err := p.Resolve(core.Interfaces3); err != nil {
 		panic(err)
 	}
-	eng := sim.NewEngine(2)
-	rt := core.NewRT(eng, mdl, p, adorn(core.ParallelOnly()))
+	sys := core.NewSystem(mdl, 2, p, adorn(core.ParallelOnly()))
 	rec := &recorder{}
-	self := rt.Node(0).NewObject(rec)
-	rec.remoteObj = rt.Node(1).NewObject(&cell{v: 9})
-	rec.lockObj = rt.Node(0).NewObject(nil)
-	var res core.Result
-	rt.StartOn(0, measure, self, &res, core.IntW(int64(scNB)))
-	rt.Run()
-	if !res.Done {
-		panic("overheads: heap scenario did not complete")
-	}
+	self := sys.NewObject(0, rec)
+	rec.remoteObj = sys.NewObject(1, &cell{v: 9})
+	rec.lockObj = sys.NewObject(0, nil)
+	sys.Start(0, measure, self, core.IntW(int64(scNB)))
+	sys.MustRun()
 	// The recorded span covers the caller side (checks, context allocation,
 	// enqueue); the callee side (dispatch, body call, reclamation) happens
 	// after the measuring window closes, so it is added from the model.

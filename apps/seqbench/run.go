@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 // Result is one cell of Table 3: the virtual execution time of one program
@@ -50,20 +49,10 @@ func run(cfg core.Config, pick func(*Methods) *core.Method, state any, args ...c
 	if err := m.Prog.Resolve(cfg.Interfaces); err != nil {
 		panic(fmt.Sprintf("seqbench: %v", err))
 	}
-	mdl := machine.SPARCStation()
-	eng := sim.NewEngine(1)
-	rt := core.NewRT(eng, mdl, m.Prog, cfg)
-	self := rt.Node(0).NewObject(state)
-	var res core.Result
-	rt.StartOn(0, pick(m), self, &res, args...)
-	rt.Run()
-	if !res.Done {
-		panic("seqbench: root invocation did not complete")
-	}
-	if err := rt.CheckQuiescence(); err != nil {
-		panic(err)
-	}
-	return Result{Seconds: mdl.Seconds(eng.MaxClock()), Value: res.Val.Int()}
+	sys := core.NewSystem(machine.SPARCStation(), 1, m.Prog, cfg)
+	res := sys.Start(0, pick(m), sys.NewObject(0, state), args...)
+	sys.MustRun()
+	return Result{Seconds: sys.Seconds(), Value: res.Val.Int()}
 }
 
 // RunFib runs fib(n) under cfg.

@@ -32,7 +32,6 @@ import (
 	"repro/internal/load"
 	"repro/internal/machine"
 	policy "repro/internal/migrate"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -403,8 +402,8 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 	lp.Keys = p.Keys
 	lp.Frontends = p.Nodes
 
-	eng := sim.NewEngine(p.Nodes)
-	rt := core.NewRT(eng, mdl, m.Prog, cfg)
+	sys := core.NewSystem(mdl, p.Nodes, m.Prog, cfg)
+	eng, rt := sys.Eng, sys.RT
 
 	// The deduplicating durable RMW variant runs whenever anything can
 	// re-execute or roll back a mutation: deadline retries duplicate
@@ -417,11 +416,11 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 	app.refs = make([]core.Ref, p.Keys)
 	for k := range kvs {
 		kvs[k] = &KV{}
-		app.refs[k] = rt.Node(k * p.Nodes / p.Keys).NewObject(kvs[k])
+		app.refs[k] = sys.NewObject(k*p.Nodes/p.Keys, kvs[k])
 	}
 	fronts := make([]core.Ref, p.Nodes)
 	for f := range fronts {
-		fronts[f] = rt.Node(f).NewObject(&Front{app: app})
+		fronts[f] = sys.NewObject(f, &Front{app: app})
 	}
 
 	// Arrivals are chained engine events: each one starts its request as a
@@ -517,17 +516,14 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 		inject(rq)
 	}
 
-	rt.Run()
-	if !crashy {
-		// Under crashes a run may legitimately end with parked requests and
-		// abandoned frames (lost work, measured below); without them the
-		// machine must quiesce cleanly and answer everything.
-		if err := rt.CheckQuiescence(); err != nil {
-			panic(err)
-		}
-		if app.done != int64(len(app.reqs)) {
-			panic(fmt.Sprintf("serve: %d of %d requests completed", app.done, len(app.reqs)))
-		}
+	// Under crashes a run may legitimately end with parked requests and
+	// abandoned frames (lost work, measured below); without them the machine
+	// must quiesce cleanly and answer everything.
+	if err := sys.Run(); err != nil && !crashy {
+		panic(err)
+	}
+	if !crashy && app.done != int64(len(app.reqs)) {
+		panic(fmt.Sprintf("serve: %d of %d requests completed", app.done, len(app.reqs)))
 	}
 
 	var applied int64
@@ -545,24 +541,22 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 			}
 		}
 	}
-	st := rt.TotalStats()
+	st := sys.Stats()
 	res := Result{
-		Requests: len(app.reqs),
-		Ops:      ops,
-		RMWs:     rmws,
-		Applied:  applied,
-		Hist:     &app.hist,
-		Seconds:  mdl.Seconds(eng.MaxClock()),
-		Messages: eng.TotalMessages(),
-		Moves:    st.MigratesOut,
-		Lost:     int64(len(app.reqs)) - app.done,
-		Retries:  st.ReqRetries,
-		Recovery: rt.Recov(),
-		Stats:    st,
-		Counters: eng.TotalCounters(),
-	}
-	if total := st.LocalInvokes + st.RemoteInvokes; total > 0 {
-		res.LocalFraction = float64(st.LocalInvokes) / float64(total)
+		Requests:      len(app.reqs),
+		Ops:           ops,
+		RMWs:          rmws,
+		Applied:       applied,
+		Hist:          &app.hist,
+		Seconds:       sys.Seconds(),
+		Messages:      sys.Messages(),
+		Moves:         st.MigratesOut,
+		Lost:          int64(len(app.reqs)) - app.done,
+		Retries:       st.ReqRetries,
+		Recovery:      rt.Recov(),
+		Stats:         st,
+		Counters:      sys.Counters(),
+		LocalFraction: sys.LocalFraction(),
 	}
 	if app.hist.Count() > 0 {
 		res.P50 = app.hist.Quantile(0.50)

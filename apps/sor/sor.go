@@ -16,7 +16,6 @@ import (
 	"repro/internal/instr"
 	"repro/internal/layout"
 	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 // stencilWork is the useful work of one stencil evaluation, in virtual
@@ -248,16 +247,26 @@ type Result struct {
 	Checksum      float64 // sum of final grid values
 }
 
-// Run builds the grid under the block-cyclic layout, runs iters iterations
-// under cfg on the given machine model, and reports time and locality.
-func Run(mdl *machine.Model, cfg core.Config, pr Params) Result {
+// Grid is one SOR instance on a fresh System: every grid point an object
+// placed by the block-cyclic layout, one chunk object per node listing its
+// points, and the coordinator on node 0.
+type Grid struct {
+	Sys   *core.System
+	Main  *core.Method
+	Coord core.Ref
+	Refs  [][]core.Ref // Refs[i][j] is grid point (i, j)
+	Elems [][]*Elem
+}
+
+// NewGrid resolves the SOR program under cfg and builds the grid of pr on a
+// machine of pr.P*pr.P nodes.
+func NewGrid(mdl *machine.Model, cfg core.Config, pr Params) *Grid {
 	m := Build()
 	if err := m.Prog.Resolve(cfg.Interfaces); err != nil {
 		panic(err)
 	}
 	nodes := pr.P * pr.P
-	eng := sim.NewEngine(nodes)
-	rt := core.NewRT(eng, mdl, m.Prog, cfg)
+	sys := core.NewSystem(mdl, nodes, m.Prog, cfg)
 
 	dist := layout.BlockCyclic{G: pr.G, P: pr.P, B: pr.B}
 	refs := make([][]core.Ref, pr.G)
@@ -273,7 +282,7 @@ func Run(mdl *machine.Model, cfg core.Config, pr Params) Result {
 			node := dist.Node(i, j)
 			e := &Elem{V: initValue(i, j)}
 			elems[i][j] = e
-			refs[i][j] = rt.Node(node).NewObject(e)
+			refs[i][j] = sys.NewObject(node, e)
 			chunks[node].Elems = append(chunks[node].Elems, refs[i][j])
 		}
 	}
@@ -288,33 +297,36 @@ func Run(mdl *machine.Model, cfg core.Config, pr Params) Result {
 	}
 	coord := &Coord{}
 	for n := 0; n < nodes; n++ {
-		coord.Chunks = append(coord.Chunks, rt.Node(n).NewObject(chunks[n]))
+		coord.Chunks = append(coord.Chunks, sys.NewObject(n, chunks[n]))
 	}
-	coordRef := rt.Node(0).NewObject(coord)
+	return &Grid{Sys: sys, Main: m.Main, Coord: sys.NewObject(0, coord), Refs: refs, Elems: elems}
+}
 
-	var res core.Result
-	rt.StartOn(0, m.Main, coordRef, &res, core.IntW(int64(pr.Iters)))
-	rt.Run()
-	if !res.Done {
-		panic("sor: did not complete")
-	}
-	if err := rt.CheckQuiescence(); err != nil {
-		panic(err)
-	}
+// Run executes iters full iterations and panics unless the run completed
+// and the machine quiesced.
+func (g *Grid) Run(iters int) {
+	g.Sys.Start(0, g.Main, g.Coord, core.IntW(int64(iters)))
+	g.Sys.MustRun()
+}
 
-	st := rt.TotalStats()
+// Run builds the grid under the block-cyclic layout, runs iters iterations
+// under cfg on the given machine model, and reports time and locality.
+func Run(mdl *machine.Model, cfg core.Config, pr Params) Result {
+	g := NewGrid(mdl, cfg, pr)
+	g.Run(pr.Iters)
 	var sum float64
-	for i := 0; i < pr.G; i++ {
-		for j := 0; j < pr.G; j++ {
-			sum += elems[i][j].V
+	for _, row := range g.Elems {
+		for _, e := range row {
+			sum += e.V
 		}
 	}
+	sys := g.Sys
 	return Result{
-		Seconds:       mdl.Seconds(eng.MaxClock()),
-		LocalFraction: float64(st.LocalInvokes) / float64(st.LocalInvokes+st.RemoteInvokes),
-		Stats:         st,
-		Counters:      eng.TotalCounters(),
-		Messages:      eng.TotalMessages(),
+		Seconds:       sys.Seconds(),
+		LocalFraction: sys.LocalFraction(),
+		Stats:         sys.Stats(),
+		Counters:      sys.Counters(),
+		Messages:      sys.Messages(),
 		Checksum:      sum,
 	}
 }

@@ -31,6 +31,18 @@ func TestSORAllBlockSizesMatchNative(t *testing.T) {
 	}
 }
 
+// TestSORZeroItersLocalFraction: a run with no iterations makes no
+// invocations, and its local fraction is 0, not NaN.
+func TestSORZeroItersLocalFraction(t *testing.T) {
+	r := Run(machine.CM5(), core.DefaultHybrid(), Params{G: 8, P: 2, B: 8, Iters: 0})
+	if r.Stats.Invokes != 0 {
+		t.Fatalf("%d invocations, want 0", r.Stats.Invokes)
+	}
+	if r.LocalFraction != 0 {
+		t.Fatalf("local fraction %v, want 0", r.LocalFraction)
+	}
+}
+
 // TestSORLocalityMonotonic: larger blocks mean more local neighbor access.
 func TestSORLocalityMonotonic(t *testing.T) {
 	prev := -1.0

@@ -13,13 +13,14 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/core"
-	"repro/internal/layout"
 	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/trace"
 
 	"repro/apps/sor"
@@ -31,62 +32,28 @@ func main() {
 	block := flag.Int("block", 8, "block-cyclic block size")
 	flag.Parse()
 
-	m := sor.Build()
-	if err := m.Prog.Resolve(core.Interfaces3); err != nil {
-		panic(err)
+	w := bufio.NewWriter(os.Stdout)
+	figure9(w, *grid, *procs, *block)
+	if err := w.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "figure9:", err)
+		os.Exit(1)
 	}
+}
+
+// figure9 runs one SOR iteration on the grid sor.Run builds, with a trace
+// attached, and draws which grid points fell back to a heap context.
+func figure9(w io.Writer, grid, procs, block int) {
 	buf := trace.NewBuffer(1 << 20)
 	cfg := core.DefaultHybrid()
 	cfg.Tracer = buf
-
-	// Re-create the SOR setup by hand so we keep the ref->(i,j) mapping.
-	nodes := *procs * *procs
-	eng := sim.NewEngine(nodes)
-	rt := core.NewRT(eng, machine.CM5(), m.Prog, cfg)
-	dist := layout.BlockCyclic{G: *grid, P: *procs, B: *block}
-
+	g := sor.NewGrid(machine.CM5(), cfg, sor.Params{G: grid, P: procs, B: block})
 	pos := map[core.Word][2]int{}
-	refs := make([][]core.Ref, *grid)
-	elems := make([][]*sor.Elem, *grid)
-	chunks := make([]*sor.Chunk, nodes)
-	for n := range chunks {
-		chunks[n] = &sor.Chunk{}
-	}
-	for i := 0; i < *grid; i++ {
-		refs[i] = make([]core.Ref, *grid)
-		elems[i] = make([]*sor.Elem, *grid)
-		for j := 0; j < *grid; j++ {
-			node := dist.Node(i, j)
-			e := &sor.Elem{V: 0.5}
-			elems[i][j] = e
-			refs[i][j] = rt.Node(node).NewObject(e)
-			pos[core.RefW(refs[i][j])] = [2]int{i, j}
-			chunks[node].Elems = append(chunks[node].Elems, refs[i][j])
+	for i, row := range g.Refs {
+		for j, ref := range row {
+			pos[core.RefW(ref)] = [2]int{i, j}
 		}
 	}
-	at := func(i, j int) core.Ref {
-		if i < 0 || i >= *grid || j < 0 || j >= *grid {
-			return core.NilRef
-		}
-		return refs[i][j]
-	}
-	for i := 0; i < *grid; i++ {
-		for j := 0; j < *grid; j++ {
-			e := elems[i][j]
-			e.Nbr[0], e.Nbr[1], e.Nbr[2], e.Nbr[3] = at(i-1, j), at(i+1, j), at(i, j-1), at(i, j+1)
-		}
-	}
-	coord := &sor.Coord{}
-	for n := 0; n < nodes; n++ {
-		coord.Chunks = append(coord.Chunks, rt.Node(n).NewObject(chunks[n]))
-	}
-	coordRef := rt.Node(0).NewObject(coord)
-	var res core.Result
-	rt.StartOn(0, m.Main, coordRef, &res, core.IntW(1))
-	rt.Run()
-	if !res.Done {
-		panic("sor did not complete")
-	}
+	g.Run(1)
 
 	fell := map[[2]int]bool{}
 	buf.Each(func(ev trace.Event) bool {
@@ -97,24 +64,20 @@ func main() {
 		}
 		return true
 	})
-	fmt.Printf("Figure 9 — SOR %dx%d grid, %dx%d processors, block size %d (hybrid, CM-5)\n",
-		*grid, *grid, *procs, *procs, *block)
-	fmt.Println("'#' = compute fell back to a heap context; '.' = ran entirely on the stack")
-	fmt.Println()
-	for i := 0; i < *grid; i++ {
-		for j := 0; j < *grid; j++ {
+	fmt.Fprintf(w, "Figure 9 — SOR %dx%d grid, %dx%d processors, block size %d (hybrid, CM-5)\n",
+		grid, grid, procs, procs, block)
+	fmt.Fprintln(w, "'#' = compute fell back to a heap context; '.' = ran entirely on the stack")
+	fmt.Fprintln(w)
+	for i := 0; i < grid; i++ {
+		for j := 0; j < grid; j++ {
 			if fell[[2]int{i, j}] {
-				fmt.Print("#")
+				fmt.Fprint(w, "#")
 			} else {
-				fmt.Print(".")
+				fmt.Fprint(w, ".")
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	total := 0
-	for range fell {
-		total++
-	}
-	fmt.Printf("\n%d of %d grid points created heap contexts (%.1f%%)\n",
-		total, *grid**grid, 100*float64(total)/float64(*grid**grid))
+	fmt.Fprintf(w, "\n%d of %d grid points created heap contexts (%.1f%%)\n",
+		len(fell), grid*grid, 100*float64(len(fell))/float64(grid*grid))
 }

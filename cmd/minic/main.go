@@ -22,7 +22,6 @@ import (
 	"repro/internal/instr"
 	"repro/internal/lang"
 	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -88,27 +87,22 @@ func main() {
 		fatal(err)
 	}
 
-	eng := sim.NewEngine(*nodes)
-	rt := core.NewRT(eng, mdl, c.Prog, cfg)
+	sys := core.NewSystem(mdl, *nodes, c.Prog, cfg)
 	// The root object carries a small word-array state so entry methods may
 	// use state[...] or create class instances.
-	self := rt.Node(0).NewObject(make([]core.Word, 16))
-	var res core.Result
-	rt.StartOn(0, m, self, &res, args...)
-	rt.Run()
-	if !res.Done {
-		fatal(fmt.Errorf("%s did not complete (deadlock?): %v", *entry, rt.CheckQuiescence()))
+	res := sys.Start(0, m, sys.NewObject(0, make([]core.Word, 16)), args...)
+	if err := sys.Run(); err != nil {
+		fatal(fmt.Errorf("%s: %w", *entry, err))
 	}
 	fmt.Printf("%s = %d\n", *entry, res.Val.Int())
-	fmt.Printf("simulated time on %s: %.6f s (%d instructions)\n",
-		mdl.Name, mdl.Seconds(eng.MaxClock()), eng.MaxClock())
+	fmt.Printf("simulated time on %s: %.6f s (%d instructions)\n", mdl.Name, sys.Seconds(), sys.Time())
 	if *stats {
-		s := rt.TotalStats()
+		s := sys.Stats()
 		fmt.Printf("invocations %d (local %d, remote %d), stack calls %d, heap contexts %d, fallbacks %d\n",
 			s.Invokes, s.LocalInvokes, s.RemoteInvokes, s.StackCalls, s.HeapInvokes, s.Fallbacks)
-		c := eng.TotalCounters()
+		c := sys.Counters()
 		fmt.Printf("schemas:")
-		for _, m := range rt.Prog.Methods() {
+		for _, m := range sys.Prog.Methods() {
 			fmt.Printf(" %s=%v", m.Name, m.Emitted)
 		}
 		fmt.Println()

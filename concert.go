@@ -40,11 +40,7 @@
 package concert
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/core"
-	"repro/internal/instr"
 	"repro/internal/lang"
 	"repro/internal/machine"
 	"repro/internal/obsv"
@@ -158,26 +154,16 @@ func FatTreeNetwork(model *Model, radix int) func(nodes int) machine.Network {
 }
 
 // System is one simulated machine running one program under one
-// execution-model configuration.
-type System struct {
-	Eng   *sim.Engine
-	RT    *core.RT
-	Model *Model
-	Prog  *Program
-
-	results []*Result
-}
+// execution-model configuration; it is the runtime's own run driver
+// (core.System), which every app and command also builds on.
+type System = core.System
 
 // NewSystem builds a machine of `nodes` processors described by model,
 // running prog (which must already be Resolved) under cfg. An invalid
 // configuration panics with a descriptive error; use NewSystemChecked to
 // receive it as an error value instead.
 func NewSystem(model *Model, nodes int, prog *Program, cfg Config) *System {
-	sys, err := NewSystemChecked(model, nodes, prog, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return sys
+	return core.NewSystem(model, nodes, prog, cfg)
 }
 
 // NewSystemChecked is NewSystem returning configuration mistakes — a nil
@@ -188,65 +174,8 @@ func NewSystemChecked(model *Model, nodes int, prog *Program, cfg Config) (*Syst
 	if err := core.ValidateConfig(model, cfg); err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine(nodes)
-	rt := core.NewRT(eng, model, prog, cfg)
-	return &System{Eng: eng, RT: rt, Model: model, Prog: prog}, nil
+	return core.NewSystem(model, nodes, prog, cfg), nil
 }
-
-// Nodes returns the machine size.
-func (s *System) Nodes() int { return s.Eng.NumNodes() }
-
-// NewObject places state as a new object on node and returns its global
-// reference.
-func (s *System) NewObject(node int, state any) Ref {
-	return s.RT.Node(node).NewObject(state)
-}
-
-// State returns the application state of an object (host-side access for
-// setup and verification; simulated code goes through the owning node).
-// With migration enabled the object may have moved from its birth node;
-// StateOf walks forwarding stubs to its current home.
-func (s *System) State(ref Ref) any {
-	return s.RT.StateOf(ref)
-}
-
-// Start seeds a root invocation of m on target (owned by node) and returns
-// its result sink. Call before Run; multiple roots are allowed.
-func (s *System) Start(node int, m *Method, target Ref, args ...Word) *Result {
-	res := &Result{}
-	s.results = append(s.results, res)
-	s.RT.StartOn(node, m, target, res, args...)
-	return res
-}
-
-// Run drives the machine to quiescence and returns an error if any root
-// invocation failed to complete or frames leaked (a deadlocked program).
-func (s *System) Run() error {
-	s.RT.Run()
-	for i, r := range s.results {
-		if !r.Done {
-			return fmt.Errorf("concert: root invocation %d did not complete", i)
-		}
-	}
-	return s.RT.CheckQuiescence()
-}
-
-// MustRun is Run, panicking on failure.
-func (s *System) MustRun() {
-	if err := s.Run(); err != nil {
-		panic(err)
-	}
-}
-
-// Time returns the parallel completion time in virtual instructions.
-func (s *System) Time() instr.Instr { return s.Eng.MaxClock() }
-
-// Seconds returns the parallel completion time in seconds on the modeled
-// machine — the unit the paper's tables report.
-func (s *System) Seconds() float64 { return s.Model.Seconds(s.Eng.MaxClock()) }
-
-// Stats returns machine-wide execution-model statistics.
-func (s *System) Stats() core.NodeStats { return s.RT.TotalStats() }
 
 // Compiled is a program compiled from mini-language source text (see
 // CompileSource).
@@ -271,22 +200,6 @@ type Trace = trace.Buffer
 // (capacity <= 0 selects a default).
 func NewTrace(capacity int) *Trace { return trace.NewBuffer(capacity) }
 
-// NewTraceFor creates a trace buffer sized for a machine of nodes
-// processors: roughly 1k retained events per node, clamped so retention
-// stays bounded (1M ring slots) however large the machine. For unbounded
-// runs on big machines prefer NewTraceStream, which retains nothing.
-func NewTraceFor(nodes int) *Trace { return trace.NewBuffer(trace.DefaultCapacityFor(nodes)) }
-
-// TraceStream is the O(1)-memory alternative to Trace: events are written to
-// a sink as they happen instead of being retained, so tracing a large
-// machine costs a bounded buffer regardless of run length. Install via
-// Config.Tracer.
-type TraceStream = trace.Stream
-
-// NewTraceStream creates a streaming tracer writing Timeline-format lines
-// to w. Call Flush when the run ends.
-func NewTraceStream(w io.Writer) *TraceStream { return trace.NewStream(w) }
-
 // Metrics is the observability layer over a run: per-method cycle
 // attribution that sums exactly to the node clocks, a critical-path
 // profiler, and a Perfetto/Chrome trace_event exporter. Create one with
@@ -298,16 +211,6 @@ type Metrics = obsv.Metrics
 
 // NewMetrics creates an empty observability registry for one run.
 func NewMetrics() *Metrics { return obsv.New() }
-
-// Counters returns machine-wide instruction counters by category.
-func (s *System) Counters() instr.Counters { return s.Eng.TotalCounters() }
-
-// Messages returns the total number of messages sent.
-func (s *System) Messages() int64 { return s.Eng.TotalMessages() }
-
-// FaultStats returns the machine-wide injected-fault counts (all zero on a
-// fault-free network).
-func (s *System) FaultStats() FaultStats { return s.Eng.FaultStats() }
 
 // ValidateConfig checks a (model, config) pair without building a system;
 // NewSystemChecked calls it for you.

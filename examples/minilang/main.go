@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lang"
 	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 const source = `
@@ -63,21 +62,14 @@ func run(cfg core.Config, label string) {
 	if err := c.Prog.Resolve(cfg.Interfaces); err != nil {
 		panic(err)
 	}
-	mdl := machine.SPARCStation()
-	eng := sim.NewEngine(1)
-	rt := core.NewRT(eng, mdl, c.Prog, cfg)
-	self := rt.Node(0).NewObject(make([]core.Word, 0))
-	var res core.Result
-	rt.StartOn(0, c.Methods["main"], self, &res, core.IntW(16), core.IntW(8))
-	rt.Run()
-	if !res.Done {
-		panic("did not complete")
-	}
-	s := rt.TotalStats()
+	sys := core.NewSystem(machine.SPARCStation(), 1, c.Prog, cfg)
+	res := sys.Start(0, c.Methods["main"], sys.NewObject(0, make([]core.Word, 0)), core.IntW(16), core.IntW(8))
+	sys.MustRun()
+	s := sys.Stats()
 	v := res.Val.Int() / 1000000
 	calls := res.Val.Int() % 1000000
 	fmt.Printf("%-14s binom(16,8) = %d (%d tallied invocations)   %.4f simulated s   stack %d, contexts %d\n",
-		label, v, calls, mdl.Seconds(eng.MaxClock()), s.StackCalls, s.HeapInvokes)
+		label, v, calls, sys.Seconds(), s.StackCalls, s.HeapInvokes)
 }
 
 func main() {

@@ -101,23 +101,6 @@ func (o *Object) Hits() (local, remote int64) { return o.localHits, o.remoteHits
 // sources ForEachRemoteSource reports.
 const TopK = 8
 
-// TopRemote returns the estimated heaviest remote requester node and its
-// sketch count (a lower bound on that node's remote invocations this
-// residence, up to the sketch's error term). It returns (-1, 0) if no
-// remote requester is currently tracked.
-func (o *Object) TopRemote() (node int32, score int32) {
-	best := -1
-	for i, c := range o.cnts {
-		if c > 0 && (best < 0 || c > o.cnts[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return -1, 0
-	}
-	return o.srcs[best], o.cnts[best]
-}
-
 // ForEachRemoteSource calls fn for every remote requester node currently
 // tracked in the sketch with its count, in slot order (deterministic).
 func (o *Object) ForEachRemoteSource(fn func(node, count int32)) {
@@ -130,9 +113,6 @@ func (o *Object) ForEachRemoteSource(fn func(node, count int32)) {
 
 // Moves returns how many times this object has migrated.
 func (o *Object) Moves() int { return int(o.moves) }
-
-// Active returns the number of live activations targeting the object.
-func (o *Object) Active() int { return int(o.active) }
 
 // note records one invocation reaching the object on its owner,
 // maintaining the Misra-Gries sketch for remote sources.

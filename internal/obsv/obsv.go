@@ -306,22 +306,6 @@ func (m *Metrics) Truncated() bool { return m.truncated }
 // NumNodes returns the number of nodes observed.
 func (m *Metrics) NumNodes() int { return len(m.nodes) }
 
-// NodeTotal returns node's attributed cycles — its final virtual clock.
-func (m *Metrics) NodeTotal(node int) int64 {
-	if node < len(m.nodes) {
-		return m.nodes[node].total
-	}
-	return 0
-}
-
-// NodeOp returns node's attributed cycles under one accounting category.
-func (m *Metrics) NodeOp(node int, op instr.Op) int64 {
-	if node < len(m.nodes) && op < instr.NumOps {
-		return m.nodes[node].ops[op]
-	}
-	return 0
-}
-
 // MaxClock returns the maximum attributed node clock — the parallel
 // completion time of the run.
 func (m *Metrics) MaxClock() int64 {
@@ -386,12 +370,6 @@ func (m *Metrics) TailRequests(q float64) []ReqRecord {
 	}
 	return out
 }
-
-// MsgWordsHist returns the histogram of sent-message payload sizes.
-func (m *Metrics) MsgWordsHist() *stats.LatencyHist { return &m.msgWords }
-
-// SuspendHist returns the histogram of suspend->wake durations.
-func (m *Metrics) SuspendHist() *stats.LatencyHist { return &m.suspend }
 
 // CheckAttribution verifies the accounting invariant: on every node the
 // observed charges were contiguous from clock zero, so per-op attribution

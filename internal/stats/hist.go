@@ -98,9 +98,6 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 // Count returns the number of recorded samples.
 func (h *LatencyHist) Count() int64 { return h.count }
 
-// Sum returns the exact sum of recorded samples.
-func (h *LatencyHist) Sum() int64 { return h.sum }
-
 // Min returns the exact minimum sample (0 when empty).
 func (h *LatencyHist) Min() int64 {
 	if h.count == 0 {
