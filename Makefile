@@ -80,9 +80,12 @@ crash-recovery:
 
 # Observability smoke: a profiled kernel run with cycle attribution, the
 # critical path, and a Perfetto trace_event export (validated by the binary
-# itself: the JSON is parsed back before the run reports success).
+# itself: the JSON is parsed back before the run reports success), then a
+# profiled EM3D forward-variant run, which drives ForwardTail chains through
+# the attribution report.
 profile:
 	$(GO) run ./cmd/concert -app sor -nodes 16 -size 48 -iters 3 -profile -trace-out /tmp/concert_sor_trace.json
+	$(GO) run ./cmd/concert -app em3d -variant forward -nodes 16 -size 512 -iters 3 -profile
 	$(GO) run ./cmd/tables -table 4 -scale small -profile
 
 # Headline scale run: a million-object SOR (1024x1024 grid, one object per

@@ -3,7 +3,7 @@
 // contracts every result in this repro rests on — hand-declared core.Method
 // schema facts (methoddecl), frame-slot bounds (framebounds), freedom from
 // nondeterminism sources reaching output or simulation state (detrand),
-// experiment-cell isolation at exp.Map/Run/MapErr sites (cellshare), and
+// experiment-cell isolation at exp.Map/Run sites (cellshare), and
 // golden-tested binaries funneling all output through their swappable
 // checked-flush writer (goldenpath).
 //

@@ -70,7 +70,7 @@ type Frame struct {
 	// replyDeferred marks that Reply parked the result on the target
 	// object's deferred list (a durable mutation awaiting its checkpoint
 	// ack) instead of delivering it; stack callers must then wait as if the
-	// callee had forwarded (see stackCall).
+	// callee had forwarded (see dispatch).
 	replyDeferred bool
 	// dead marks a frame killed by a fail-stop crash of its node. Dead
 	// frames are abandoned — never recycled — so stale continuations from

@@ -29,26 +29,51 @@ import (
 // A body receiving NeedUnwind must set fr.PC to its resume point and
 // `return rt.Unwind(fr)`.
 func (rt *RT) Invoke(fr *Frame, m *Method, target Ref, slot int, args ...Word) CallStatus {
-	n := fr.Node
-	mdl := rt.Model
 	if rt.Cfg.CheckDecls && !declaredEdge(fr.M.Calls, m) {
 		rt.declViolation(fr, "Calls", m.Name,
 			fmt.Sprintf("invoked %s, which is not in the declared Calls list", m.Name))
 	}
+	if slot == JoinDiscard {
+		fr.joinOut++
+	}
+	switch rt.dispatch(fr, m, target, args, Cont{Fr: fr, Slot: slot, Node: int32(fr.Node.ID)}, false) {
+	case Done:
+		return OK
+	case Forwarded:
+		return settled(fr, slot)
+	}
+	return pending(fr)
+}
+
+// dispatch is the one per-call decision behind Invoke and ForwardTail: it
+// routes the invocation of m on target, with reply continuation cont, to a
+// message (remote target), a lock park, a heap context, or a speculative
+// stack run. fwd marks a tail forward (Section 3.2.3): the continuation is
+// fr's own, so a remote send materializes it first, and a stack run passes
+// fr's caller_info along and pays the CP schema. The result is Done if the
+// callee completed on the stack and replied through cont, Forwarded if it
+// finished without replying directly (its forwarded chain or group-committed
+// reply settles cont later, or already did), and Unwound while the callee
+// is still to run or resume: sent, parked, scheduled, or fallen back.
+func (rt *RT) dispatch(fr *Frame, m *Method, target Ref, args []Word, cont Cont, fwd bool) Status {
+	n := fr.Node
+	mdl := rt.Model
 	if !rt.Cfg.SeqOpt {
 		n.charge(instr.OpCheck, mdl.NameTranslate+mdl.LocalityCheck)
 	}
 	n.Stats.Invokes++
-	if slot == JoinDiscard {
-		fr.joinOut++
-	}
 
 	obj, loc := n.lookup(target)
 	if obj == nil {
 		n.Stats.RemoteInvokes++
 		rt.traceEvent(n, uint8(trace.KInvoke), m, 1)
-		rt.sendRequest(n, m, target, args, Cont{Fr: fr, Slot: slot, Node: int32(n.ID)}, loc)
-		return pending(fr)
+		if fwd {
+			// Forwarding off-node requires the continuation to actually
+			// exist (Section 3.2.3): materialize it per caller_info.
+			rt.materializeCont(n, fr, cont)
+		}
+		rt.sendRequest(n, m, target, args, cont, loc)
+		return Unwound
 	}
 	n.Stats.LocalInvokes++
 	rt.traceEvent(n, uint8(trace.KInvoke), m, 0)
@@ -57,70 +82,75 @@ func (rt *RT) Invoke(fr *Frame, m *Method, target Ref, slot int, args ...Word) C
 		n.charge(instr.OpCheck, mdl.LockCheck)
 	}
 
-	if rt.Cfg.Hybrid && n.stackDepth < rt.Cfg.MaxStackDepth {
-		if m.Locks && obj.Locked() {
-			// The callee blocks immediately on the lock: create its context
-			// lazily and park it; the caller proceeds as after any fallback.
-			cf := rt.newHeapFrame(n, m, target, args, Cont{Fr: fr, Slot: slot, Node: int32(n.ID)})
-			obj.waiters.push(cf)
-			n.Stats.LockBlocks++
-			rt.traceEvent(n, uint8(trace.KLockBlock), m, 0)
-			return pending(fr)
-		}
-		return rt.stackCall(n, fr, m, obj, target, slot, args)
+	if !rt.Cfg.Hybrid || n.stackDepth >= rt.Cfg.MaxStackDepth {
+		// Parallel (heap-based) invocation.
+		rt.scheduleOrPark(n, rt.newHeapFrame(n, m, target, args, cont))
+		return Unwound
+	}
+	if m.Locks && obj.Locked() {
+		// The callee blocks immediately on the lock: create its context
+		// lazily and park it; the caller proceeds as after any fallback.
+		rt.parkOnLock(n, obj, rt.newHeapFrame(n, m, target, args, cont))
+		return Unwound
 	}
 
-	// Parallel (heap-based) invocation.
-	cf := rt.newHeapFrame(n, m, target, args, Cont{Fr: fr, Slot: slot, Node: int32(n.ID)})
-	rt.scheduleOrPark(n, cf)
-	return pending(fr)
-}
-
-// stackCall performs the speculative sequential invocation of m on the
-// (local, lock-free) object obj, on behalf of fr.
-func (rt *RT) stackCall(n *NodeRT, fr *Frame, m *Method, obj *Object, target Ref, slot int, args []Word) CallStatus {
-	mdl := rt.Model
+	// Speculative sequential invocation on the stack. A forward passes
+	// return_val_ptr and caller_info along; the chain's root finds the
+	// result in return_val.
+	ci, schema := CallerInfo{CtxExists: fr.promoted}, m.Emitted
+	if fwd {
+		ci, schema = fr.CInfo, SchemaCP
+	}
 	n.charge(instr.OpCall, mdl.CCall+mdl.CArgWord*instr.Instr(len(args)))
-	rt.chargeSchema(n, m.Emitted)
+	rt.chargeSchema(n, schema)
 	n.Stats.StackCalls++
 	rt.traceEvent(n, uint8(trace.KStackCall), m, 0)
 
 	cf := n.pool.checkout(m, n, target, args)
-	cf.RetCont = Cont{Fr: fr, Slot: slot, Node: int32(n.ID)}
-	switch rt.runSeq(n, cf, obj, CallerInfo{CtxExists: fr.promoted}) {
+	cf.RetCont = cont
+	switch rt.runSeq(n, cf, obj, ci) {
 	case Done:
 		deferred := cf.replyDeferred
 		rt.complete(n, cf)
 		if !deferred {
-			return OK
+			return Done
 		}
 		// The callee group-committed: it finished, but its reply is held
-		// until the covering checkpoint is acked, so the caller's slot is
-		// not filled yet. Same shape as a Forwarded chain still in flight.
-		return settled(fr, slot)
+		// until the covering checkpoint is acked, so cont is not determined
+		// yet. Same shape as a Forwarded chain still in flight.
+		return Forwarded
 	case Unwound:
 		// The callee fell back. Its lazily-created context now lives in the
-		// heap with our continuation linked into it (the caller-side work of
-		// Figure 6); the caller must in turn revert to its parallel version.
+		// heap with cont linked into it (the caller-side work of Figure 6);
+		// the caller must in turn revert to its parallel version.
 		n.charge(instr.OpFallback, mdl.LinkCont)
-		return pending(fr)
+		return Unwound
 	case Forwarded:
 		// The callee passed its reply obligation along. If the forwarding
-		// chain completed synchronously the result has already landed in our
-		// slot ("executing the forwarded continuation completely on the
-		// stack", Section 3.2.3); otherwise we must wait for it.
-		rt.completeForwarded(n, cf)
-		return settled(fr, slot)
+		// chain completed synchronously the result has already landed
+		// ("executing the forwarded continuation completely on the stack",
+		// Section 3.2.3); otherwise it is still on its way.
+		rt.retire(n, cf)
+		return Forwarded
 	}
 	panic("core: invalid body status")
 }
 
+// parkOnLock queues the heap context cf on obj's held lock; retire hands
+// the lock to it when the holder completes.
+func (rt *RT) parkOnLock(n *NodeRT, obj *Object, cf *Frame) {
+	obj.waiters.push(cf)
+	n.Stats.LockBlocks++
+	rt.traceEvent(n, uint8(trace.KLockBlock), cf.M, 0)
+}
+
 // runSeq is the one way into a method's sequential version, shared by the
-// paper's three entries: a stack call (Invoke), a local forward
-// (ForwardTail, Section 3.2.3) and a message wrapper (Section 3.3). cf is
-// a frame freshly checked out for the local object obj with its return
-// continuation set; runSeq installs caller_info ci, takes obj's lock if m
-// locks, runs the body on the stack and returns its status.
+// paper's three entries: a stack call (Invoke) and a local forward
+// (ForwardTail, Section 3.2.3), both through dispatch, and a message
+// wrapper (Section 3.3). cf is a frame freshly checked out for the local
+// object obj with its return continuation set; runSeq installs caller_info
+// ci, takes obj's lock if m locks, runs the body on the stack and returns
+// its status.
 func (rt *RT) runSeq(n *NodeRT, cf *Frame, obj *Object, ci CallerInfo) Status {
 	m := cf.M
 	rt.frameCreated(n, obj)
@@ -316,79 +346,20 @@ func (rt *RT) Reply(fr *Frame, val Word) {
 // `return rt.ForwardTail(...)` — the result is Done if the forwarding chain
 // completed synchronously on the stack, Forwarded otherwise.
 func (rt *RT) ForwardTail(fr *Frame, m *Method, target Ref, args ...Word) Status {
-	n := fr.Node
-	mdl := rt.Model
 	if rt.Cfg.CheckDecls && !declaredEdge(fr.M.Forwards, m) {
 		rt.declViolation(fr, "Forwards", m.Name,
 			fmt.Sprintf("tail-forwarded to %s, which is not in the declared Forwards list", m.Name))
 	}
-	if !rt.Cfg.SeqOpt {
-		n.charge(instr.OpCheck, mdl.NameTranslate+mdl.LocalityCheck)
-	}
-	n.Stats.Invokes++
 	if fr.captured {
 		panic(fmt.Sprintf("core: %s forwarded after capturing its continuation", fr.M.Name))
 	}
-	cont := fr.RetCont
 	fr.captured = true
-
-	obj, loc := n.lookup(target)
-	if obj == nil {
-		// Forwarding off-node requires the continuation to actually exist
-		// (Section 3.2.3): materialize it per caller_info, then ship it.
-		n.Stats.RemoteInvokes++
-		rt.materializeCont(n, fr, cont)
-		rt.sendRequest(n, m, target, args, cont, loc)
-		return Forwarded
+	if rt.dispatch(fr, m, target, args, fr.RetCont, true) == Done {
+		// The whole forwarded chain completed synchronously: our reply
+		// obligation is discharged, so this activation finishes normally.
+		fr.captured = false
+		return Done
 	}
-	n.Stats.LocalInvokes++
-	rt.noteAccess(n, obj, n.ID, fr.Self == target)
-	if m.Locks && !rt.Cfg.SeqOpt {
-		n.charge(instr.OpCheck, mdl.LockCheck)
-	}
-
-	if rt.Cfg.Hybrid && n.stackDepth < rt.Cfg.MaxStackDepth {
-		if m.Locks && obj.Locked() {
-			cf := rt.newHeapFrame(n, m, target, args, cont)
-			obj.waiters.push(cf)
-			n.Stats.LockBlocks++
-			rt.traceEvent(n, uint8(trace.KLockBlock), m, 0)
-			return Forwarded
-		}
-		// Local forward: pass return_val_ptr and caller_info along on the
-		// stack; the chain's root will find the result in return_val.
-		n.charge(instr.OpCall, mdl.CCall+mdl.CArgWord*instr.Instr(len(args)))
-		rt.chargeSchema(n, SchemaCP)
-		n.Stats.StackCalls++
-
-		cf := n.pool.checkout(m, n, target, args)
-		cf.RetCont = cont
-		switch rt.runSeq(n, cf, obj, fr.CInfo) { // caller_info is simply passed along
-		case Done:
-			// The whole forwarded chain completed synchronously: our reply
-			// obligation is discharged, so this activation finishes normally.
-			// Unless the tail group-committed — then the forwarded
-			// continuation is parked in its deferred queue, not yet
-			// delivered, and the chain is still in flight.
-			deferred := cf.replyDeferred
-			rt.complete(n, cf)
-			if deferred {
-				return Forwarded
-			}
-			fr.captured = false
-			return Done
-		case Unwound:
-			n.charge(instr.OpFallback, mdl.LinkCont)
-			return Forwarded
-		case Forwarded:
-			rt.completeForwarded(n, cf)
-			return Forwarded
-		}
-		panic("core: invalid body status")
-	}
-	// Parallel path: heap context carries the continuation.
-	cf := rt.newHeapFrame(n, m, target, args, cont)
-	rt.scheduleOrPark(n, cf)
 	return Forwarded
 }
 

@@ -194,9 +194,7 @@ func (rt *RT) migrateNow(n *NodeRT, obj *Object, dest int) {
 
 	msg := n.newMsg()
 	msg.kind, msg.target, msg.obj, msg.from = msgMigrate, obj.Ref, obj, int32(n.ID)
-	to := rt.Nodes[dest]
-	lat := rt.Model.NetLatency + rt.Model.NetPerWord*instr.Instr(w)
-	rt.send(n, to, msg, w, lat)
+	rt.send(n, rt.Nodes[dest], msg)
 }
 
 // handleMigrate installs an arrived object on its new home, drains any
@@ -259,11 +257,8 @@ func (rt *RT) forwardRequest(n *NodeRT, msg *Msg, stub *Object) {
 	n.charge(instr.OpMigrate, rt.Model.FwdHop)
 	n.Stats.ForwardHops++
 	rt.traceEvent(n, uint8(trace.KForwardHop), msg.method, int64(msg.hops))
-	to := rt.Nodes[loc]
 	from, target := int(msg.from), msg.target
-	w := msg.words()
-	lat := rt.Model.NetLatency + rt.Model.NetPerWord*instr.Instr(w)
-	rt.send(n, to, msg, w, lat)
+	rt.send(n, rt.Nodes[loc], msg)
 
 	if from >= 0 && from != n.ID && from != loc {
 		rt.sendMoved(n, rt.Nodes[from], target, stub.fwdTo, stub.fwdVer)
@@ -276,9 +271,6 @@ func (rt *RT) forwardRequest(n *NodeRT, msg *Msg, stub *Object) {
 // moves the object ever made; 2*nodes+8 is a backstop against corrupt
 // routing state, not a bound a correct run approaches.
 func (rt *RT) maxForwardHops() int {
-	if rt.Cfg.MaxForwardHops > 0 {
-		return rt.Cfg.MaxForwardHops
-	}
 	return 2*len(rt.Nodes) + 8
 }
 
@@ -287,7 +279,7 @@ func (rt *RT) maxForwardHops() int {
 func (rt *RT) sendMoved(n, to *NodeRT, ref Ref, loc, ver int32) {
 	notice := n.newMsg()
 	notice.kind, notice.target, notice.loc, notice.ver, notice.from = msgMoved, ref, loc, ver, int32(n.ID)
-	rt.send(n, to, notice, notice.words(), rt.Model.ReplyLatency)
+	rt.send(n, to, notice)
 }
 
 // handleMoved applies a path-compression notice: retarget this node's

@@ -209,9 +209,7 @@ func (rt *RT) sendRequest(from *NodeRT, m *Method, target Ref, args []Word, cont
 		panic(fmt.Sprintf("core: oversized message for %s: %d words (limit %d)", m.Name, w, DefaultMaxMsgWords))
 	}
 	from.charge(instr.OpMsg, rt.Model.MsgSendBase+rt.Model.MsgPerWord*instr.Instr(w))
-	to := rt.Nodes[dest]
-	lat := rt.Model.NetLatency + rt.Model.NetPerWord*instr.Instr(w)
-	rt.send(from, to, msg, w, lat)
+	rt.send(from, rt.Nodes[dest], msg)
 }
 
 // sendReply transmits a value determining a remote continuation.
@@ -220,8 +218,7 @@ func (rt *RT) sendReply(from *NodeRT, cont Cont, val Word) {
 	msg.kind, msg.cont, msg.val, msg.from = msgReply, cont, val, int32(from.ID)
 	from.charge(instr.OpMsg, rt.Model.ReplySend)
 	from.Stats.Replies++
-	to := rt.Nodes[cont.Node]
-	rt.send(from, to, msg, msg.words(), rt.Model.ReplyLatency)
+	rt.send(from, rt.Nodes[cont.Node], msg)
 }
 
 // handleMsg processes one arrived message on node n, releasing it at its
@@ -325,9 +322,7 @@ func (rt *RT) runWrapper(n *NodeRT, m *Method, obj *Object, msg *Msg) {
 			// Cannot run from the buffer: park a heap context on the lock.
 			cf := rt.newHeapFrame(n, m, msg.target, msg.args, msg.cont)
 			n.freeMsg(msg)
-			obj.waiters.push(cf)
-			n.Stats.LockBlocks++
-			rt.traceEvent(n, uint8(trace.KLockBlock), m, 0)
+			rt.parkOnLock(n, obj, cf)
 			return
 		}
 	}
@@ -347,6 +342,6 @@ func (rt *RT) runWrapper(n *NodeRT, m *Method, obj *Object, msg *Msg) {
 		// callee's lazily-created context.
 		n.charge(instr.OpFallback, rt.Model.LinkCont)
 	case Forwarded:
-		rt.completeForwarded(n, cf)
+		rt.retire(n, cf)
 	}
 }

@@ -292,9 +292,8 @@ func (rt *RT) shipRestores(backup *NodeRT, crashed int) {
 	for _, chunk := range fragment(batch) {
 		msg := &Msg{kind: msgRestore, target: Ref{Node: int32(crashed)},
 			from: int32(backup.ID), ckptBatch: chunk}
-		w := msg.words()
-		backup.charge(instr.OpMsg, rt.Model.MsgSendBase+rt.Model.MsgPerWord*instr.Instr(w))
-		rt.send(backup, to, msg, w, rt.Model.NetLatency+rt.Model.NetPerWord*instr.Instr(w))
+		backup.charge(instr.OpMsg, rt.Model.MsgSendBase+rt.Model.MsgPerWord*instr.Instr(msg.words()))
+		rt.send(backup, to, msg)
 	}
 }
 
@@ -409,9 +408,8 @@ func (rt *RT) shipNode(n *NodeRT) {
 	for _, chunk := range fragment(batch) {
 		msg := &Msg{kind: msgCkpt, target: Ref{Node: int32(n.ID)},
 			from: int32(n.ID), ckptBatch: chunk}
-		w := msg.words()
-		n.charge(instr.OpMsg, rt.Model.MsgSendBase+rt.Model.MsgPerWord*instr.Instr(w))
-		rt.send(n, b, msg, w, rt.Model.NetLatency+rt.Model.NetPerWord*instr.Instr(w))
+		n.charge(instr.OpMsg, rt.Model.MsgSendBase+rt.Model.MsgPerWord*instr.Instr(msg.words()))
+		rt.send(n, b, msg)
 	}
 	n.ckptMark = int64(n.Sim.Counters.Busy())
 }
@@ -502,7 +500,7 @@ func (rt *RT) handleCkpt(n *NodeRT, msg *Msg) {
 	ack := &Msg{kind: msgCkptAck, target: Ref{Node: msg.from},
 		from: int32(n.ID), ckptBatch: acks}
 	n.charge(instr.OpMsg, rt.Model.ReplySend)
-	rt.send(n, rt.Nodes[msg.from], ack, ack.words(), rt.Model.ReplyLatency)
+	rt.send(n, rt.Nodes[msg.from], ack)
 }
 
 // handleCkptAck applies the backup's acknowledgement on the owner: each

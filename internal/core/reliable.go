@@ -143,14 +143,24 @@ func (n *NodeRT) inLink(src int) *recvLink {
 	return l
 }
 
-// send transmits one runtime message from node `from` to node `to` with the
-// given modeled payload size and network latency. This is the single choke
-// point for every message the runtime emits (requests, replies, migrations,
-// moved notices): unreliable mode hands the message straight to the engine;
-// reliable mode frames it with a sequence number and takes responsibility
-// for redelivery until acked. Either way msg now belongs to the transport
-// (see the ownership rules in msg.go).
-func (rt *RT) send(from, to *NodeRT, msg *Msg, w int, lat instr.Instr) {
+// send transmits one runtime message from node `from` to node `to`. This is
+// the single choke point for every message the runtime emits (requests,
+// replies, migrations, moved notices, checkpoint traffic). The message
+// determines its modeled payload (Msg.words) and its flat latency class:
+// replies, moved notices and checkpoint acks take ReplyLatency, everything
+// else NetLatency plus NetPerWord per word.
+// Unreliable mode hands the message straight to the engine; reliable mode
+// frames it with a sequence number and takes responsibility for redelivery
+// until acked. Either way msg now belongs to the transport (see the
+// ownership rules in msg.go).
+func (rt *RT) send(from, to *NodeRT, msg *Msg) {
+	w := msg.words()
+	lat := rt.Model.ReplyLatency
+	switch msg.kind {
+	case msgReply, msgMoved, msgCkptAck:
+	default:
+		lat = rt.Model.NetLatency + rt.Model.NetPerWord*instr.Instr(w)
+	}
 	if rt.Cfg.Tracer != nil {
 		// The one KMsgSend per transmission, stamped with (destination,
 		// per-link seq, words) so the delivery-side KMsgRecv can be matched

@@ -241,7 +241,6 @@ func TestValidateConfig(t *testing.T) {
 		{"nil model", nil, func(c *Config) {}, "machine model is nil"},
 		{"negative migration period", mdl, func(c *Config) { c.MigrationPeriod = -1 }, "MigrationPeriod"},
 		{"period without policy", mdl, func(c *Config) { c.MigrationPeriod = 100 }, "without a Migration policy"},
-		{"negative hop bound", mdl, func(c *Config) { c.MaxForwardHops = -2 }, "MaxForwardHops"},
 		{"drop probability out of range", mdl, func(c *Config) { c.Faults = &sim.Faults{Drop: 1.5}; c.Reliable = true }, "out of range"},
 		{"lossy without reliable", mdl, func(c *Config) { c.Faults = &sim.Faults{Drop: 0.01} }, "Reliable is off"},
 		{"crashes without reliable", mdl, func(c *Config) { c.Faults = &sim.Faults{CrashEvery: 1000, CrashLen: 100} }, "Reliable is off"},
@@ -292,7 +291,6 @@ func TestForwardHopBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultHybrid()
-	cfg.MaxForwardHops = 4
 	buf := trace.NewBuffer(64)
 	cfg.Tracer = buf
 	eng := sim.NewEngine(2)
@@ -313,6 +311,6 @@ func TestForwardHopBound(t *testing.T) {
 			t.Fatalf("KHopLimit count = %d, want 1", buf.Count(trace.KHopLimit))
 		}
 	}()
-	msg := &Msg{kind: msgRequest, target: ref, from: 1, hops: 4}
+	msg := &Msg{kind: msgRequest, target: ref, from: 1, hops: int32(rt.maxForwardHops())}
 	rt.forwardRequest(rt.Node(0), msg, stub)
 }

@@ -20,9 +20,7 @@ func (rt *RT) runContext(n *NodeRT, fr *Frame) {
 			panic("core: context scheduled for an object that is not resident")
 		}
 		if !obj.tryLock() {
-			obj.waiters.push(fr)
-			n.Stats.LockBlocks++
-			rt.traceEvent(n, uint8(trace.KLockBlock), m, 0)
+			rt.parkOnLock(n, obj, fr)
 			return
 		}
 		fr.lockObj = obj
@@ -44,7 +42,7 @@ func (rt *RT) runContext(n *NodeRT, fr *Frame) {
 		// The frame parked itself (waiting on futures, re-enqueued, or on a
 		// lock queue); nothing to do here.
 	case Forwarded:
-		rt.completeForwarded(n, fr)
+		rt.retire(n, fr)
 	default:
 		panic(fmt.Sprintf("core: %s returned invalid status %d", m.Name, st))
 	}
@@ -60,12 +58,10 @@ func (rt *RT) complete(n *NodeRT, fr *Frame) {
 	rt.retire(n, fr)
 }
 
-// completeForwarded retires an activation whose reply obligation moved
-// elsewhere.
-func (rt *RT) completeForwarded(n *NodeRT, fr *Frame) {
-	rt.retire(n, fr)
-}
-
+// retire releases a finished activation: its lock passes to the next live
+// waiter and its frame returns to the pool. An activation whose reply
+// obligation moved elsewhere (Forwarded) is retired without complete's
+// capture check.
 func (rt *RT) retire(n *NodeRT, fr *Frame) {
 	rt.traceEvent(n, uint8(trace.KComplete), fr.M, 0)
 	if fr.lockObj != nil {

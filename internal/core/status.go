@@ -163,10 +163,6 @@ type Config struct {
 	// backoff until acked, and duplicate-suppressed at the receiver. Off by
 	// default: with a fault-free network the layer only adds overhead.
 	Reliable bool
-	// MaxForwardHops bounds a request's forwarding chain (stale-hint
-	// re-routes under migration); zero derives 2*nodes+8. Exceeding the
-	// bound is a traced runtime error, not silent unbounded growth.
-	MaxForwardHops int
 
 	// CheckDecls arms the runtime declaration sanitizer: the dynamic
 	// backstop behind cmd/concertvet's static pass, for what static

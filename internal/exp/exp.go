@@ -128,71 +128,3 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 func Run[T any](workers int, jobs []func() T) []T {
 	return Map(workers, len(jobs), func(i int) T { return jobs[i]() })
 }
-
-// MapErr is Map with a cancellable error path: once any cell returns a
-// non-nil error, workers start no further cells (cells already running
-// finish). It returns the results (zero values at failed or skipped
-// indices) and the error with the lowest index among the cells that ran and
-// failed — so with deterministic cells the reported error does not depend
-// on worker count for the common case of a single failing cell.
-func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	workers = Clamp(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := range out {
-			v, err := fn(i)
-			if err != nil {
-				return out, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var failed atomic.Bool
-	var mu sync.Mutex
-	errIdx := n
-	var firstErr error
-	var trap panicTrap
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() || trap.hit.Load() {
-					return
-				}
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							trap.record(i, r)
-						}
-					}()
-					v, err := fn(i)
-					if err != nil {
-						failed.Store(true)
-						mu.Lock()
-						if i < errIdx {
-							errIdx, firstErr = i, err
-						}
-						mu.Unlock()
-						return
-					}
-					out[i] = v
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	trap.rethrow()
-	return out, firstErr
-}

@@ -16,7 +16,7 @@ import (
 // handle (the Config.Network-shared-link-state bug PR 8 fixed by making
 // Network a factory).
 //
-// At every exp.Map / exp.MapErr / exp.Run call site the pass analyzes the
+// At every exp.Map / exp.Run call site the pass analyzes the
 // cell function literals (for exp.Run, the literals appended or assigned
 // into the jobs slice within the same function) and reports:
 //
@@ -50,7 +50,7 @@ import (
 // dynamic backstop), and non-literal cell functions are skipped.
 var CellShare = &Analyzer{
 	Name: "cellshare",
-	Doc:  "check exp.Map/Run/MapErr cell closures and engine window-phase code for shared mutable state",
+	Doc:  "check exp.Map/Run cell closures and engine window-phase code for shared mutable state",
 	Run:  runCellShare,
 }
 
@@ -128,7 +128,7 @@ func checkCellSites(pass *Pass, body *ast.BlockStmt, expName, randName string, c
 			return true
 		}
 		switch sel.Sel.Name {
-		case "Map", "MapErr":
+		case "Map":
 			if len(call.Args) == 0 {
 				return true
 			}
@@ -190,7 +190,7 @@ func jobLiterals(body *ast.BlockStmt, jobs string) []*ast.FuncLit {
 }
 
 // cellIndexParam returns the name of the cell function's index parameter
-// (the first parameter of an exp.Map/MapErr cell).
+// (the first parameter of an exp.Map cell).
 func cellIndexParam(lit *ast.FuncLit) string {
 	if lit.Type.Params == nil || len(lit.Type.Params.List) == 0 {
 		return ""

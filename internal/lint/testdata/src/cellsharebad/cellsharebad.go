@@ -1,5 +1,5 @@
 // Package cellsharebad seeds every cell-isolation violation the cellshare
-// analyzer must catch at exp.Map / exp.Run / exp.MapErr call sites.
+// analyzer must catch at exp.Map / exp.Run call sites.
 package cellsharebad
 
 import (
