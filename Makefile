@@ -106,12 +106,16 @@ scale-smoke:
 # PDES smoke: the 256-node fat-tree SOR run through the serial oracle and
 # through the sharded parallel engine must print byte-identical output —
 # the engine's golden guarantee exercised end to end on a real binary, not
-# just inside the test suite. cmp fails the target on the first differing
-# byte.
+# just inside the test suite. The second pair uses radix-4 leaves dealt to
+# 3 shards, so leaves and shards do not divide evenly. cmp fails the target
+# on the first differing byte.
 pdes-smoke:
 	$(GO) run ./cmd/concert -app sor -nodes 256 -size 256 -iters 2 -net fattree -verify -engine serial > /tmp/pdes_smoke_serial.out
 	$(GO) run ./cmd/concert -app sor -nodes 256 -size 256 -iters 2 -net fattree -verify -engine parallel -shards 4 > /tmp/pdes_smoke_parallel.out
 	cmp /tmp/pdes_smoke_serial.out /tmp/pdes_smoke_parallel.out
+	$(GO) run ./cmd/concert -app sor -nodes 256 -size 256 -iters 2 -net fattree -radix 4 -verify -engine serial > /tmp/pdes_smoke_serial_r4.out
+	$(GO) run ./cmd/concert -app sor -nodes 256 -size 256 -iters 2 -net fattree -radix 4 -verify -engine parallel -shards 3 > /tmp/pdes_smoke_parallel_r4.out
+	cmp /tmp/pdes_smoke_serial_r4.out /tmp/pdes_smoke_parallel_r4.out
 	@echo "pdes-smoke: serial and parallel engine outputs are byte-identical"
 
 cover:

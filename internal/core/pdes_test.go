@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -107,14 +108,14 @@ func pdesWorkload(t *testing.T, nodes, leaves int, until sim.Time, mutate func(*
 	return out.String()
 }
 
-// pdesCompare runs the workload serial and parallel (4 shards) and requires
-// byte-identical transcripts — and that the parallel run actually sharded.
-func pdesCompare(t *testing.T, nodes, leaves int, until sim.Time, mutate func(*Config)) {
+// pdesCompare runs the workload serial and parallel (at the given shard
+// target) and requires byte-identical transcripts.
+func pdesCompare(t *testing.T, shards, nodes, leaves int, until sim.Time, mutate func(*Config)) {
 	t.Helper()
 	serial := pdesWorkload(t, nodes, leaves, until, mutate)
 
 	defer sim.SetDefaultEngine(sim.SetDefaultEngine(sim.EngineParallel))
-	defer sim.SetDefaultShards(sim.SetDefaultShards(4))
+	defer sim.SetDefaultShards(sim.SetDefaultShards(shards))
 	par := pdesWorkload(t, nodes, leaves, until, mutate)
 
 	if par != serial {
@@ -139,13 +140,14 @@ func diffLine(a, b string) (string, string) {
 	return fmt.Sprintf("%d lines", len(al)), fmt.Sprintf("%d lines", len(bl))
 }
 
-// requireSharded asserts that a parallel-default engine actually shards for
-// the given config — guarding the fallback logic against silently eating a
-// configuration these tests mean to cover.
-func requireSharded(t *testing.T, nodes int, mutate func(*Config)) {
+// requireSharded asserts that a parallel-default engine with the given shard
+// target runs the given config on exactly workers shards — guarding the
+// fallback logic against silently eating a configuration these tests mean
+// to cover, and the shard cap against reporting shards it did not make.
+func requireSharded(t *testing.T, shards, workers, nodes int, mutate func(*Config)) {
 	t.Helper()
 	defer sim.SetDefaultEngine(sim.SetDefaultEngine(sim.EngineParallel))
-	defer sim.SetDefaultShards(sim.SetDefaultShards(4))
+	defer sim.SetDefaultShards(sim.SetDefaultShards(shards))
 	p := NewProgram()
 	mkEcho(p, "pdes.probe")
 	if err := p.Resolve(Interfaces3); err != nil {
@@ -157,24 +159,99 @@ func requireSharded(t *testing.T, nodes int, mutate func(*Config)) {
 	}
 	eng := sim.NewEngine(nodes)
 	NewRT(eng, machine.CM5(), p, cfg)
-	if eng.Workers() != 4 {
-		t.Fatalf("engine did not shard: workers=%d", eng.Workers())
+	if eng.Workers() != workers {
+		t.Fatalf("engine runs on %d workers, want %d", eng.Workers(), workers)
 	}
 }
 
 func TestParallelMatchesSerialFlat(t *testing.T) {
-	requireSharded(t, 8, nil)
-	pdesCompare(t, 8, 3000, 0, nil)
+	requireSharded(t, 4, 4, 8, nil)
+	pdesCompare(t, 4, 8, 3000, 0, nil)
 }
 
-func TestParallelMatchesSerialFatTree(t *testing.T) {
-	mutate := func(c *Config) {
+// withFatTree installs a fat-tree of the given radix.
+func withFatTree(radix int) func(*Config) {
+	return func(c *Config) {
 		c.Network = func(nodes int) machine.Network {
-			return machine.NewFatTree(nodes, 4, machine.CM5())
+			return machine.NewFatTree(nodes, radix, machine.CM5())
 		}
 	}
-	requireSharded(t, 16, mutate)
-	pdesCompare(t, 16, 3000, 0, mutate)
+}
+
+// TestParallelMatchesSerialFatTree runs the leaf-aligned layout: four
+// leaves of four nodes on four shards, a three-hop lookahead, and same-leaf
+// deliveries committed inside the window.
+func TestParallelMatchesSerialFatTree(t *testing.T) {
+	mutate := withFatTree(4)
+	requireSharded(t, 4, 4, 16, mutate)
+	pdesCompare(t, 4, 16, 3000, 0, mutate)
+}
+
+// TestParallelFatTreeLayouts covers the fat-tree configurations at the
+// edges of the leaf-aligned layout. Each must match the serial engine byte
+// for byte and run on the shard count it reports:
+//
+//   - a machine within one leaf has no cross-leaf route, so it shards node
+//     by node with a one-hop lookahead;
+//   - more shards than leaves are capped at one shard per leaf;
+//   - wire faults without Reliable (jitter only) keep one node per block
+//     and the one-hop lookahead, so every fault draw stays in the replay:
+//     8 workers, not the 4 leaves.
+func TestParallelFatTreeLayouts(t *testing.T) {
+	jitter := func(c *Config) {
+		withFatTree(4)(c)
+		c.Faults = &sim.Faults{Seed: 3, Reorder: 0.2, JitterMax: 400}
+	}
+	cases := []struct {
+		name                   string
+		shards, workers, nodes int
+		mutate                 func(*Config)
+	}{
+		{"one-leaf", 4, 4, 8, withFatTree(8)},
+		{"shards>leaves", 8, 4, 16, withFatTree(4)},
+		{"wire-faults", 8, 8, 16, jitter},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			requireSharded(t, tc.shards, tc.workers, tc.nodes, tc.mutate)
+			pdesCompare(t, tc.shards, tc.nodes, 2000, 0, tc.mutate)
+		})
+	}
+}
+
+// underLeaves is a LeafNetwork that breaks its declared bound: every
+// cross-leaf route is one instruction cheaper than MinDelayAcross.
+type underLeaves struct{ *machine.FatTree }
+
+func (u underLeaves) Delay(src, dst, words int, depart Instr) Instr {
+	if src/u.LeafSize() != dst/u.LeafSize() {
+		return u.MinDelayAcross() - 1
+	}
+	return u.FatTree.Delay(src, dst, words, depart)
+}
+
+// TestParallelPanicsOnUndercutLookahead: the lookahead check, narrowed to
+// transmissions that leave their leaf, must still catch a topology whose
+// cross-leaf latency undercuts the bound the window was sized by. The
+// serial engine has no window to break and runs the workload through.
+func TestParallelPanicsOnUndercutLookahead(t *testing.T) {
+	mutate := func(c *Config) {
+		c.Network = func(nodes int) machine.Network {
+			return underLeaves{machine.NewFatTree(nodes, 4, machine.CM5())}
+		}
+	}
+	pdesWorkload(t, 16, 300, 0, mutate)
+	requireSharded(t, 4, 4, 16, mutate)
+	defer sim.SetDefaultEngine(sim.SetDefaultEngine(sim.EngineParallel))
+	defer sim.SetDefaultShards(sim.SetDefaultShards(4))
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		pdesWorkload(t, 16, 300, 0, mutate)
+		return nil
+	}()
+	if msg := fmt.Sprint(r); r == nil || !strings.Contains(msg, "below the") {
+		t.Fatalf("parallel run under an undercut lookahead recovered %v, want the lookahead panic", r)
+	}
 }
 
 func TestParallelMatchesSerialFaultsReliable(t *testing.T) {
@@ -186,8 +263,8 @@ func TestParallelMatchesSerialFaultsReliable(t *testing.T) {
 			SlowEvery: 55_000, SlowLen: 3_000, SlowFactor: 3,
 		}
 	}
-	requireSharded(t, 8, mutate)
-	pdesCompare(t, 8, 1500, 0, mutate)
+	requireSharded(t, 4, 4, 8, mutate)
+	pdesCompare(t, 4, 8, 1500, 0, mutate)
 }
 
 func TestParallelMatchesSerialCrashRecovery(t *testing.T) {
@@ -196,10 +273,10 @@ func TestParallelMatchesSerialCrashRecovery(t *testing.T) {
 		c.CheckpointPeriod = 20_000
 		c.Faults = &sim.Faults{Seed: 5, Drop: 0.01, CrashEvery: 150_000, CrashLen: 6_000}
 	}
-	requireSharded(t, 8, mutate)
+	requireSharded(t, 4, 4, 8, mutate)
 	// Bounded run: crashes can destroy the join's frames, so completion is
 	// not guaranteed — the comparison covers everything up to the cutoff.
-	pdesCompare(t, 8, 1500, 900_000, mutate)
+	pdesCompare(t, 4, 8, 1500, 900_000, mutate)
 }
 
 // pdesNoMove is a do-nothing migration policy: its presence alone must force

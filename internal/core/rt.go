@@ -75,10 +75,17 @@ func NewRT(eng *sim.Engine, mdl *machine.Model, prog *Program, cfg Config) *RT {
 // installEngine wires the topology-latency hook and, when the configuration
 // is eligible, switches a parallel-kind engine into sharded execution.
 //
-// The lookahead is the minimum latency of any transmission: the topology's
-// static MinDelay when a Network is installed, else the flat model's
-// MinNetDelay. Two configurations fall back to serial dispatch (results are
-// byte-identical either way; Eng.Workers() reports the truth):
+// The engine gets a lookahead and a partition group (see
+// sim.Engine.EnableParallel). On the flat model the group is 1 and the
+// lookahead is MinNetDelay; on a Network it is the topology's static
+// MinDelay. A LeafNetwork (the fat-tree) instead aligns the shards with its
+// leaf switches: the group is the leaf size and the lookahead is
+// MinDelayAcross, three switch hops instead of one, while same-leaf
+// transmissions commit inside the window. That layout needs more than one
+// leaf and no wire faults (their draws must all happen at the barrier), so
+// otherwise the group stays 1. Two configurations fall back to serial
+// dispatch (results are byte-identical either way; Eng.Workers() reports
+// the truth):
 //
 //   - Migration: owners update residence counters on every access, across
 //     nodes, which cannot run concurrently per shard.
@@ -97,11 +104,14 @@ func (rt *RT) installEngine() {
 	if rt.Cfg.Migration != nil || (rt.Cfg.Reliable && rt.net != nil) {
 		return
 	}
-	la := rt.Model.MinNetDelay()
+	la, group := rt.Model.MinNetDelay(), 1
 	if rt.net != nil {
 		la = rt.net.MinDelay()
+		if ln, ok := rt.net.(machine.LeafNetwork); ok && rt.Eng.NumNodes() > ln.LeafSize() && !rt.Cfg.Faults.Wire() {
+			la, group = ln.MinDelayAcross(), ln.LeafSize()
+		}
 	}
-	rt.parEng = rt.Eng.EnableParallel(la)
+	rt.parEng = rt.Eng.EnableParallel(la, group)
 }
 
 // installMetrics wires the configured metrics sink into the engine's charge

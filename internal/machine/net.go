@@ -13,6 +13,9 @@ import "repro/internal/instr"
 // and acks alike), in deterministic simulation order, and may mutate
 // internal link state (busy-until reservations): an implementation is
 // single-run state and must not be shared between concurrent simulations.
+// A topology that groups nodes under leaf switches may also implement
+// LeafNetwork, which lets the parallel engine align its shards with the
+// leaves and raise its lookahead to the cheapest cross-leaf route.
 type Network interface {
 	// Delay returns the network latency, in instructions, for a
 	// words-word payload departing src toward dst at time depart.
@@ -20,10 +23,32 @@ type Network interface {
 
 	// MinDelay returns a static positive lower bound on Delay over every
 	// (src, dst, words, depart): the cheapest transmission the topology can
-	// produce. The parallel engine uses it as the conservative lookahead —
-	// no message can cross shards in less virtual time — so the bound must
-	// hold unconditionally, not just for typical traffic.
+	// produce. Unless the topology is a LeafNetwork, the parallel engine uses
+	// it as the conservative lookahead — no message can cross shards in less
+	// virtual time — so the bound must hold unconditionally, not just for
+	// typical traffic.
 	MinDelay() instr.Instr
+}
+
+// LeafNetwork is an optional extension of Network for topologies whose
+// nodes sit in leaf switches of equal size: node i is in leaf i/LeafSize().
+// It is a separate interface, not a Network method, so that wrappers (a
+// tracing or counting Network) opt in only by forwarding it on purpose.
+//
+// An implementation promises that Delay between two nodes of one leaf is a
+// pure function of its arguments: it reads and writes no link state, so the
+// parallel engine may call it concurrently from the shard owning that leaf,
+// outside the ordered commit point. Delay between nodes of different leaves
+// keeps Network's contract (ordered, may mutate link state).
+type LeafNetwork interface {
+	Network
+	// LeafSize returns the number of nodes under one leaf switch (>= 1).
+	LeafSize() int
+	// MinDelayAcross returns a static positive lower bound on Delay over
+	// every (src, dst) pair in different leaves, every payload and every
+	// departure time. The parallel engine uses it as the lookahead of a
+	// leaf-aligned partition, so it must hold unconditionally.
+	MinDelayAcross() instr.Instr
 }
 
 // FatTree models a folded-Clos (fat-tree) interconnect of the given radix:
@@ -109,6 +134,15 @@ func NewFatTree(nodes, radix int, m *Model) *FatTree {
 // only add to that.
 func (ft *FatTree) MinDelay() instr.Instr { return ft.hopLat }
 
+// LeafSize implements LeafNetwork: a leaf switch has radix nodes below it.
+func (ft *FatTree) LeafSize() int { return ft.radix }
+
+// MinDelayAcross implements LeafNetwork: a route between two leaves climbs
+// to at least level 2, crossing an up-link switch, the lca switch and a
+// down-link switch. Same-leaf Delay (lca level 1, or src == dst) touches no
+// link horizon, which is LeafNetwork's purity promise.
+func (ft *FatTree) MinDelayAcross() instr.Instr { return 3 * ft.hopLat }
+
 // Delay implements Network.
 func (ft *FatTree) Delay(src, dst, words int, depart instr.Instr) instr.Instr {
 	if src == dst {
@@ -123,6 +157,8 @@ func (ft *FatTree) Delay(src, dst, words int, depart instr.Instr) instr.Instr {
 	}
 	occ := ft.perWord * instr.Instr(words)
 	t := depart
+	// Within one leaf (lca 1) both loops below are empty: no link horizon
+	// is read or written, which is LeafNetwork's purity promise.
 	// Climb: the up-link out of src's subtree at levels 1..lca-1, then
 	// descend: the down-link into dst's subtree at levels lca-1..1. Each
 	// switch on the route (2*lca-1 of them) adds a hop; each aggregated

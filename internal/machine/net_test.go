@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/instr"
@@ -102,4 +103,44 @@ func TestFatTreeDegenerate(t *testing.T) {
 			t.Fatalf("Delay(%d,%d) = %d", pair[0], pair[1], d)
 		}
 	}
+}
+
+// TestFatTreeLeafBounds checks the LeafNetwork promises the parallel
+// engine relies on, under heavy contention: every cross-leaf Delay is at
+// least MinDelayAcross, and a same-leaf Delay neither reads nor moves any
+// link horizon (it costs one hop plus serialization, however busy the
+// links are).
+func TestFatTreeLeafBounds(t *testing.T) {
+	m := CM5()
+	ft := NewFatTree(100, 4, m)
+	var ln LeafNetwork = ft
+	if ln.LeafSize() != 4 || ln.MinDelayAcross() != 3*ft.hopLat {
+		t.Fatalf("LeafSize %d, MinDelayAcross %d; want 4 and %d", ln.LeafSize(), ln.MinDelayAcross(), 3*ft.hopLat)
+	}
+	for i := 0; i < 3000; i++ {
+		src, dst := (i*37)%100, (i*91+13)%100
+		words := i % 9
+		waits, before := ft.Waits, horizons(ft)
+		d := ft.Delay(src, dst, words, instr.Instr(i%50))
+		if src/4 != dst/4 {
+			if d < ln.MinDelayAcross() {
+				t.Fatalf("Delay(%d,%d) = %d below MinDelayAcross %d", src, dst, d, ln.MinDelayAcross())
+			}
+			continue
+		}
+		if want := ft.hopLat + m.NetPerWord*instr.Instr(words); d != want || ft.Waits != waits {
+			t.Fatalf("same-leaf Delay(%d,%d) = %d (waits %d -> %d), want %d and no wait", src, dst, d, waits, ft.Waits, want)
+		}
+		if after := horizons(ft); after != before {
+			t.Fatalf("same-leaf Delay(%d,%d) moved a link horizon", src, dst)
+		}
+	}
+	if ft.Waits == 0 {
+		t.Fatal("no contention: the cross-leaf routes never met a busy link")
+	}
+}
+
+// horizons renders every link's busy-until horizon.
+func horizons(ft *FatTree) string {
+	return fmt.Sprint(ft.up, ft.down)
 }

@@ -123,6 +123,11 @@ func (f *Faults) active() bool {
 // in which case the runtime above must provide reliable delivery.
 func (f *Faults) Lossy() bool { return f != nil && (f.Drop > 0 || f.Dup > 0) }
 
+// Wire reports whether the configuration draws per-transmission faults
+// (drops, duplicates or jitter): those draws must happen in total event
+// order, at the ordered commit point, for every transmission.
+func (f *Faults) Wire() bool { return f != nil && (f.Drop > 0 || f.Dup > 0 || f.Reorder > 0) }
+
 // Crashy reports whether the configuration fail-stop crashes nodes — in
 // which case the runtime above must provide reliable delivery and (for any
 // state to survive) a checkpoint/restore protocol.
@@ -234,6 +239,9 @@ func (e *Engine) SetFaults(cfg *Faults) {
 	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	if e.group > 1 && cfg.Wire() {
+		panic("sim: wire faults on a leaf-grouped parallel engine; their draws must stay in the barrier replay (EnableParallel with group 1)")
 	}
 	e.faults = newFaultState(cfg)
 }

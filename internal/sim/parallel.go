@@ -1,16 +1,17 @@
 // Conservative parallel execution (PDES) for the discrete-event engine.
 //
-// The parallel engine partitions the simulated nodes into shards — node i
-// goes to shard i mod S, each shard owning its nodes' pending events and a
+// The parallel engine partitions the simulated nodes into shards — blocks
+// of `group` consecutive node IDs dealt round-robin, node i to shard
+// (i/group) mod S, each shard owning its nodes' pending events and a
 // private portion of the clock — and alternates two phases:
 //
 //	window:  every shard concurrently dispatches its events with time below a
 //	         horizon that no cross-shard message can land under. The calling
 //	         goroutine runs shard 0 and S-1 workers run the rest; they meet
 //	         at a spinning barrier of atomic counters (see pool). Side effects
-//	         that cross shards (message transmissions, shared observer sinks)
-//	         are not performed; they are appended to a per-shard commit log,
-//	         stamped with the key of the generating event.
+//	         that may cross shards (message transmissions, shared observer
+//	         sinks) are not performed; they are appended to a per-shard
+//	         commit log, stamped with the key of the generating event.
 //	barrier: the shard logs are merged, sorted by event key, and replayed
 //	         single-threaded — fault draws, topology latencies, and delivery
 //	         pushes happen here, in exactly the total order the serial engine
@@ -19,15 +20,26 @@
 //	         the next global event is not later than the earliest node event.
 //
 // The horizon for a window starting when the earliest pending node event is
-// at p is min(p + L, g), where L is the lookahead — the minimum latency of
-// any transmission, supplied by the runtime from the machine cost tables —
-// and g is the next global event. Soundness: any event a window dispatches
-// has time >= p, so any message it transmits arrives at >= p + L >= horizon;
-// deferred to the barrier, the delivery lands outside the window that
-// created it, never inside. The engine asserts lat >= L on every replayed
-// transmission. Intra-shard scheduling (timers, pumps, wakes) is exempt from
-// the lookahead: it stays inside the owning shard's queue and may land below
+// at p is min(p + L, g), where L is the lookahead and g is the next global
+// event. L is a lower bound on the latency of every transmission that
+// leaves its group, supplied by the runtime from the machine cost tables.
+// Soundness: any event a window dispatches has time >= p, so any message it
+// sends out of its group arrives at >= p + L >= horizon; deferred to the
+// barrier, the delivery lands outside the window that created it, never
+// inside. The engine asserts lat >= L on every such transmission.
+// Intra-shard scheduling (timers, pumps, wakes) is exempt from the
+// lookahead: it stays inside the owning shard's queue and may land below
 // the horizon.
+//
+// The group is 1 (an interleave, node i on shard i mod S) unless the
+// topology groups nodes under leaf switches (machine.LeafNetwork). Then
+// group is the leaf size and L is the cheapest cross-leaf route, three
+// switch hops on the fat-tree instead of one. A transmission within a leaf
+// may be cheaper than L, but its destination is on the sender's shard and
+// its latency is a pure function that touches no link state, so it commits
+// inside the window: its delivery goes straight into the shard's queue.
+// Wire faults keep group at 1: their draws consume one ordered random
+// stream and must all happen at the barrier.
 //
 // Determinism is not statistical but exact: because every event carries the
 // total-order key (at, src, seq) computed from per-context counters, and all
@@ -116,18 +128,30 @@ func (e *Engine) Workers() int {
 }
 
 // EnableParallel switches a parallel-kind engine into sharded execution.
-// lookahead must be a lower bound on the latency of every transmission the
-// run will perform — the runtime derives it from the machine cost tables
-// (min of the network and reply latencies, or the topology's minimum hop
-// cost). Returns false — leaving the engine serial — when the engine is not
-// parallel-kind, the lookahead is not positive, or the machine is too small
-// to shard. Must be called before any events are scheduled.
-func (e *Engine) EnableParallel(lookahead Time) bool {
-	if e.kind != EngineParallel || e.par || lookahead <= 0 || len(e.nodes) < 2 {
+// The partition deals blocks of group consecutive node IDs to the shards
+// round-robin: node i goes to shard (i/group) mod S, and S is capped at the
+// number of blocks. lookahead must be a lower bound on the latency of every
+// transmission between two different blocks — the runtime derives it from
+// the machine cost tables (min of the network and reply latencies, the
+// topology's minimum hop cost, or its cheapest cross-leaf route).
+//
+// With group 1 the lookahead bounds every transmission. With group > 1 a
+// transmission within a block may be cheaper; it commits inside the window
+// (see Transmit), so the installed topology hook must be a pure function
+// for such pairs, and wire faults (Faults.Wire) are refused. Returns false —
+// leaving the engine serial — when the engine is not parallel-kind, the
+// lookahead is not positive, or the machine has fewer than two blocks to
+// shard. Must be called before any events are scheduled.
+func (e *Engine) EnableParallel(lookahead Time, group int) bool {
+	blocks := (len(e.nodes) + group - 1) / group
+	if e.kind != EngineParallel || e.par || lookahead <= 0 || blocks < 2 {
 		return false
 	}
 	if e.Pending() != 0 {
 		panic("sim: EnableParallel after events were scheduled")
+	}
+	if group > 1 && e.Faults().Wire() {
+		panic("sim: EnableParallel with group > 1 under wire faults; their draws must stay in the barrier replay")
 	}
 	target := e.shardTarget
 	if target <= 0 {
@@ -142,24 +166,24 @@ func (e *Engine) EnableParallel(lookahead Time) bool {
 	if target > maxShards {
 		target = maxShards
 	}
-	if target > len(e.nodes) {
-		target = len(e.nodes)
+	if target > blocks {
+		target = blocks
 	}
 	shards := make([]*shard, target)
 	for i := range shards {
 		shards[i] = &shard{eng: e, q: newCalendarQueue()}
 	}
-	// Interleaved partition: node i goes to shard i mod S. Locality buys
-	// nothing here — every transmission, intra-shard ones included, commits
-	// through the barrier — while activity that sweeps node IDs (a grid
-	// wavefront) would sit on one shard at a time under a block partition.
-	// The global context keeps its own queue (e.gsh).
+	// Blocks are dealt round-robin rather than split into S contiguous
+	// ranges: activity that sweeps node IDs (a grid wavefront) would sit on
+	// one shard at a time under a range partition. The global context keeps
+	// its own queue (e.gsh).
 	for i, nd := range e.nodes {
-		nd.sh = shards[i%target]
+		nd.sh = shards[(i/group)%target]
 	}
 	e.shards = shards
 	e.par = true
 	e.lookahead = lookahead
+	e.group = group
 	return true
 }
 

@@ -3,8 +3,11 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/instr"
 )
 
 // withParallel scopes the package defaults to a parallel engine with the
@@ -24,7 +27,7 @@ func parTranscript(nodes int, lookahead Time, parallel bool, run func(*Engine)) 
 	eng := NewEngine(nodes)
 	fifo := newFifo(eng, 7)
 	if parallel {
-		if !eng.EnableParallel(lookahead) {
+		if !eng.EnableParallel(lookahead, 1) {
 			panic("EnableParallel refused")
 		}
 	}
@@ -121,9 +124,66 @@ func TestParallelRunUntilSlices(t *testing.T) {
 	})
 }
 
+// TestParallelSendTimeNumbering pins where a delivery's place in the total
+// order is fixed: at the send. One event on node 0 sends a cross-leaf packet
+// to node 12 and then, after some work, an intra-leaf packet to node 1; both
+// arrive at the same instant, and nodes 1 and 12 share a shard at 2 and at 3
+// shards. The intra-leaf packet commits inside the window and the cross-leaf
+// one at the barrier, so numbering the deliveries when they commit would
+// hand node 1 the lower sequence number. The serial engine, and the parallel
+// one numbering at the send, deliver to node 12 first.
+func TestParallelSendTimeNumbering(t *testing.T) {
+	const nodes, group, across, within = 14, 2, 30, 10
+	transcript := func(parallel bool, shards int) string {
+		eng := NewEngine(nodes)
+		fifo := newFifo(eng, 5)
+		eng.SetNetDelay(func(from, to, words int, depart, flat Time) Time {
+			if from/group == to/group {
+				return within
+			}
+			return across
+		})
+		if parallel {
+			if !eng.EnableParallel(across, group) {
+				t.Fatal("EnableParallel refused")
+			}
+			if eng.Workers() != shards || eng.shardOf(1) != eng.shardOf(12) {
+				t.Fatalf("%d workers, nodes 1 and 12 on shards %d and %d: want %d workers and one shard",
+					eng.Workers(), eng.shardOf(1), eng.shardOf(12), shards)
+			}
+		}
+		var got []string
+		recv := func(to *Node) func() {
+			return func() {
+				at := to.Now()
+				to.Ordered(func() { got = append(got, fmt.Sprintf("node %d received at %d", to.ID, at)) })
+			}
+		}
+		fifo.push(0, func(n *Node) {
+			eng.Transmit(n, eng.Node(12), n.Clock, 0, 1, true, Packet{Msg: recv(eng.Node(12))})
+			Charge(n, instr.OpWork, across-within)
+			eng.Transmit(n, eng.Node(1), n.Clock, 0, 1, true, Packet{Msg: recv(eng.Node(1))})
+		})
+		eng.Wake(eng.Node(0))
+		eng.Run()
+		return strings.Join(got, "\n")
+	}
+	serial := transcript(false, 1)
+	if want := "node 12 received at 35\nnode 1 received at 35"; serial != want {
+		t.Fatalf("serial transcript:\n%s\nwant:\n%s", serial, want)
+	}
+	for _, shards := range []int{2, 3} {
+		withParallel(t, shards, func() {
+			if par := transcript(true, shards); par != serial {
+				t.Fatalf("%d shards: receive order diverges:\nserial:\n%s\nparallel:\n%s", shards, serial, par)
+			}
+		})
+	}
+}
+
 // TestParallelPartitionBalancesWavefront pins the partition's purpose:
 // while a wavefront sweeps node IDs, the shards share the dispatched events
-// evenly at every stage of the sweep, not just in total. A block partition
+// evenly at every stage of the sweep, not just in total. A range partition
 // fails this — the sweep's first half runs on one shard.
 func TestParallelPartitionBalancesWavefront(t *testing.T) {
 	const nodes, rounds, lookahead = 64, 32, 20
@@ -134,7 +194,7 @@ func TestParallelPartitionBalancesWavefront(t *testing.T) {
 		// relaxation's activity does.
 		eng := NewEngine(nodes)
 		fifo := newFifo(eng, 10)
-		if !eng.EnableParallel(lookahead) {
+		if !eng.EnableParallel(lookahead, 1) {
 			t.Fatal("EnableParallel refused")
 		}
 		var forward func(n *Node)
@@ -182,7 +242,7 @@ func TestParallelWorkerPanicReachesCaller(t *testing.T) {
 		eng := NewEngine(nodes)
 		fifo := newFifo(eng, 5)
 		coordNode, workerNode := 0, -1
-		if eng.EnableParallel(50) {
+		if eng.EnableParallel(50, 1) {
 			for i := 0; i < nodes && workerNode < 0; i++ {
 				if eng.shardOf(i) != eng.shardOf(coordNode) {
 					workerNode = i
@@ -227,7 +287,7 @@ func TestTimerStopShardLocal(t *testing.T) {
 		const nodes = 4
 		eng := NewEngine(nodes)
 		fifo := newFifo(eng, 5)
-		if !eng.EnableParallel(20) {
+		if !eng.EnableParallel(20, 1) {
 			t.Fatal("EnableParallel refused")
 		}
 		if eng.Workers() != 2 {
@@ -283,25 +343,50 @@ func TestTimerStopShardLocal(t *testing.T) {
 }
 
 // TestEnableParallelGuards pins EnableParallel's refusals: wrong kind, no
-// lookahead, too few nodes — and the scheduled-events panic.
+// lookahead, too few nodes or groups — and its panics: after scheduled
+// events, and a grouped partition combined with wire faults.
 func TestEnableParallelGuards(t *testing.T) {
-	if e := NewEngine(8); e.EnableParallel(10) {
+	if e := NewEngine(8); e.EnableParallel(10, 1) {
 		t.Fatal("serial-kind engine accepted EnableParallel")
 	}
 	withParallel(t, 2, func() {
-		if e := NewEngine(8); e.EnableParallel(0) {
+		if e := NewEngine(8); e.EnableParallel(0, 1) {
 			t.Fatal("zero lookahead accepted")
 		}
-		if e := NewEngine(1); e.EnableParallel(10) {
+		if e := NewEngine(1); e.EnableParallel(10, 1) {
 			t.Fatal("single-node machine accepted")
 		}
-		e := NewEngine(8)
-		e.Schedule(5, func() {})
-		defer func() {
-			if recover() == nil {
-				t.Fatal("EnableParallel after scheduling did not panic")
-			}
-		}()
-		e.EnableParallel(10)
+		if e := NewEngine(8); e.EnableParallel(10, 8) {
+			t.Fatal("a machine of one group accepted")
+		}
+		// Wire-fault draws must all stay in the barrier replay, so a
+		// grouped partition refuses them, whichever is installed first.
+		wire := &Faults{Seed: 1, Reorder: 0.1, JitterMax: 5}
+		mustPanic(t, "SetFaults(wire) on a grouped engine", func() {
+			e := NewEngine(8)
+			e.EnableParallel(10, 2)
+			e.SetFaults(wire)
+		})
+		mustPanic(t, "grouped EnableParallel under wire faults", func() {
+			e := NewEngine(8)
+			e.SetFaults(wire)
+			e.EnableParallel(10, 2)
+		})
+		mustPanic(t, "EnableParallel after scheduling", func() {
+			e := NewEngine(8)
+			e.Schedule(5, func() {})
+			e.EnableParallel(10, 1)
+		})
 	})
+}
+
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
 }

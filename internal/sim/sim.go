@@ -75,12 +75,13 @@ type Node struct {
 	pumpPending bool
 
 	// ctxSeq numbers events scheduled in this node's context (pumps, wakes,
-	// timers); xmitSeq numbers message deliveries originated by this node.
-	// Separate per-context counters — instead of one engine-global insertion
-	// sequence — make the total event order (at, src, seq) computable
-	// identically by the serial and the parallel engine: a context's events
-	// are numbered by that context's own progress, which both engines
-	// advance at the same points of the total order.
+	// timers); xmitSeq numbers transmissions sent by this node, at the send
+	// (see Transmit). Separate per-context counters — instead of one
+	// engine-global insertion sequence — make the total event order
+	// (at, src, seq) computable identically by the serial and the parallel
+	// engine: a context's events are numbered by that context's own
+	// progress, which both engines advance at the same points of the total
+	// order.
 	ctxSeq  uint64
 	xmitSeq uint64
 
@@ -153,7 +154,8 @@ type logEntry struct {
 }
 
 // xmit is one transmission as captured at the send instruction: the
-// endpoints, departure and latency, and the two clocks the ordered half
+// endpoints, departure and latency, the sender's transmission number n
+// (which orders its deliveries), and the two clocks the ordered half
 // needs — base, the event time of the send (the arrival clamp floor), and
 // clk, the sender's clock then (the timestamp of any injected fault).
 type xmit struct {
@@ -161,6 +163,7 @@ type xmit struct {
 	depart    Time
 	lat       Time
 	base, clk Time
+	n         uint64
 	words     int
 	routed    bool
 	p         Packet
@@ -203,7 +206,11 @@ type Engine struct {
 	par         bool
 	phase       uint8
 	lookahead   Time
-	netHook     NetDelayFunc
+	// group is the parallel partition's block size (see EnableParallel):
+	// above 1, a transmission between two nodes of one group commits
+	// inside the window on the owning shard.
+	group   int
+	netHook NetDelayFunc
 
 	// Worker pool of the running parallel Run/RunUntil (see parallel.go).
 	pool *pool
@@ -540,24 +547,44 @@ func (e *Engine) pump(n *Node) {
 // destination is woken. Payload words are counted for statistics only;
 // serialization costs are charged by the runtime layer.
 //
-// Sender statistics are charged immediately (they are sender-local); the
-// transmission itself — fault draws, topology latency, the delivery push —
-// goes through the ordered-commit point: inline on the serial engine,
-// deferred to the barrier under a parallel window. The sender's clock and
-// the event time are captured here, at the send instruction, so deferred
-// processing observes the values the serial engine would have.
+// Sender statistics and the sender's transmission number are charged
+// immediately (they are sender-local); the transmission itself — fault
+// draws, topology latency, the delivery push — goes through the
+// ordered-commit point: inline on the serial engine, deferred to the
+// barrier under a parallel window. The one exception is a transmission
+// within a partition group of a leaf-aligned parallel engine (group > 1,
+// see EnableParallel): its latency is pure and its destination is on the
+// sender's shard, so it commits inside the window. The sender's clock, the
+// event time and the transmission number are captured here, at the send
+// instruction, so deferred processing observes the values the serial
+// engine would have, and one sender's in-window and deferred deliveries
+// keep its send order.
 func (e *Engine) Transmit(from, to *Node, depart, lat Time, words int, routed bool, p Packet) {
 	from.MsgsSent++
 	from.WordsSent += int64(words)
-	x := xmit{from: from, to: to, depart: depart, lat: lat, clk: from.Clock, words: words, routed: routed, p: p}
+	from.xmitSeq++
+	x := xmit{from: from, to: to, depart: depart, lat: lat, clk: from.Clock, n: from.xmitSeq, words: words, routed: routed, p: p}
 	if e.phase == phaseWindow {
 		sh := from.sh
 		x.base = sh.now
+		if e.inGroup(from, to) {
+			if to.sh != sh {
+				panic(fmt.Sprintf("sim: in-window delivery from node %d would land on node %d's shard, not the sender's", from.ID, to.ID))
+			}
+			e.xmit(&x)
+			return
+		}
 		sh.log = append(sh.log, logEntry{at: sh.curAt, src: sh.curSrc, seq: sh.curSeq, x: x})
 		return
 	}
 	x.base = e.gsh.now
 	e.xmit(&x)
+}
+
+// inGroup reports whether a transmission from a to b stays inside one group
+// of a leaf-aligned partition (group > 1), where it commits in-window.
+func (e *Engine) inGroup(a, b *Node) bool {
+	return e.group > 1 && a.ID/e.group == b.ID/e.group
 }
 
 // xmit performs the ordered half of one transmission: topology latency,
@@ -568,8 +595,9 @@ func (e *Engine) xmit(x *xmit) {
 	if x.routed && e.netHook != nil {
 		lat = e.netHook(x.from.ID, x.to.ID, x.words, x.depart, lat)
 	}
-	if e.par && lat < e.lookahead {
-		panic(fmt.Sprintf("sim: transmission latency %d below the %d-instruction lookahead; the conservative window is unsound", lat, e.lookahead))
+	if e.par && lat < e.lookahead && !e.inGroup(x.from, x.to) {
+		panic(fmt.Sprintf("sim: latency %d of a transmission from node %d to node %d is below the %d-instruction lookahead; the conservative window is unsound",
+			lat, x.from.ID, x.to.ID, e.lookahead))
 	}
 	arrive := x.depart + lat
 	if arrive < x.base {
@@ -589,19 +617,21 @@ func (e *Engine) xmit(x *xmit) {
 		if f.hit(cfg.Dup) {
 			e.observeFault(FaultDup, x.from, x.to, x.words, 0, x.clk)
 			dup := arrive + f.jitter(cfg.JitterMax+1)
-			e.deliverAt(x.from, x.to, dup, &x.p)
+			e.deliverAt(x.from, x.to, dup, 2*x.n, &x.p)
 		}
 	}
-	e.deliverAt(x.from, x.to, arrive, &x.p)
+	e.deliverAt(x.from, x.to, arrive, 2*x.n+1, &x.p)
 }
 
 // deliverAt schedules one physical delivery at node `to`. The event is
-// stamped in the sender's transmission context — srcXmit(from), sequenced by
-// the sender's xmitSeq at processing time — which both engines reach in the
-// same total order, so delivery events sort identically under either.
-func (e *Engine) deliverAt(from, to *Node, arrive Time, p *Packet) {
-	from.xmitSeq++
-	to.sh.push(event{at: arrive, src: srcXmit(from.ID), seq: from.xmitSeq,
+// stamped in the sender's transmission context, srcXmit(from), with seq
+// derived from the sender's n-th transmission: 2n+1 for the original and 2n
+// for a wire duplicate, so a duplicate sorts just before its original and
+// both before the sender's later transmissions. The number is fixed at the
+// send, so delivery events sort identically under either engine, whether a
+// transmission commits inline, in-window or at the barrier.
+func (e *Engine) deliverAt(from, to *Node, arrive Time, seq uint64, p *Packet) {
+	to.sh.push(event{at: arrive, src: srcXmit(from.ID), seq: seq,
 		kind: evDeliver, node: int32(to.ID), msg: p.Msg, aux: p.Seq, epoch: p.Epoch})
 }
 
